@@ -20,8 +20,9 @@
 
 use std::collections::BTreeMap;
 
-use squall_common::codec::{self, Reader};
+use squall_common::codec::Reader;
 use squall_common::{FxHashMap, Result, SplitMix64, Tuple};
+use squall_join::snapshot::{get_base_rows, put_base_rows};
 use squall_partition::hypercube::DimRole;
 use squall_partition::HypercubeScheme;
 
@@ -250,41 +251,19 @@ fn coords(scheme: &HypercubeScheme, machine: usize) -> Vec<usize> {
 /// `(tuple, multiplicity)` rows.
 pub fn parse_full_blob(blob: &[u8]) -> Result<Vec<Vec<(Tuple, i64)>>> {
     let mut r = Reader::new(blob);
-    let tag = r.u8()?;
-    if tag != JOIN_BLOB_FULL {
+    if r.u8()? != JOIN_BLOB_FULL {
         return Err(squall_common::SquallError::Codec("not a full-history join blob".into()));
     }
-    let n_rels = r.len()?;
-    let mut rels = Vec::with_capacity(n_rels);
-    for _ in 0..n_rels {
-        let n = r.len()?;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t = codec::get_tuple(&mut r)?;
-            let m = r.i64()?;
-            rows.push((t, m));
-        }
-        rels.push(rows);
-    }
+    let rels = get_base_rows(&mut r)?;
     r.finish()?;
     Ok(rels)
 }
 
 /// Serialize per-relation stores into a full-history join blob,
-/// byte-identical to what the lost join task itself would have produced
-/// (rows sorted, [`squall_join::DBToasterJoin`] snapshot format).
+/// byte-identical to what the lost join task itself would have produced.
 pub fn serialize_full_blob(rels: &[FxHashMap<Tuple, i64>]) -> Vec<u8> {
     let mut buf = vec![JOIN_BLOB_FULL];
-    codec::put_u32(&mut buf, rels.len() as u32);
-    for rows in rels {
-        let mut sorted: Vec<(&Tuple, i64)> = rows.iter().map(|(t, &m)| (t, m)).collect();
-        sorted.sort_by(|a, b| a.0.cmp(b.0));
-        codec::put_u32(&mut buf, sorted.len() as u32);
-        for (t, m) in sorted {
-            codec::put_tuple(&mut buf, t);
-            codec::put_i64(&mut buf, m);
-        }
-    }
+    put_base_rows(&mut buf, rels.iter().map(|rows| rows.iter().map(|(t, &m)| (t, m)).collect()));
     buf
 }
 

@@ -36,7 +36,7 @@ use squall_join::{AggSpec, WindowSpec};
 use squall_partition::optimizer::SchemeKind;
 use squall_runtime::{plan_placement, ClusterLinks, Frame, Placement};
 
-use crate::driver::{assemble, AggPlan, LocalJoinKind, MultiwayConfig, WindowPlan};
+use crate::driver::{assemble, AggPlan, LocalJoinKind, MultiwayConfig, Resident, WindowPlan};
 
 /// Cluster membership for a session: the worker processes (listen
 /// addresses) that distributed runs split their topologies across. The
@@ -574,7 +574,6 @@ pub(crate) fn boot_coordinator(
 /// the job's run has fully drained.
 pub fn serve_job(listener: &TcpListener) -> Result<()> {
     let mut hellos: Vec<(usize, TcpStream)> = Vec::new();
-    let mut readmitted: Option<u64> = None;
     let (job_payload, job_conn) = loop {
         let (stream, _) = listener.accept().map_err(SquallError::from)?;
         stream.set_nodelay(true).ok();
@@ -590,7 +589,6 @@ pub fn serve_job(listener: &TcpListener) -> Result<()> {
                 // A recovering coordinator re-admits this worker: the Job
                 // frame follows on the same stream.
                 eprintln!("squall-worker: re-admitted as peer {peer} at epoch {epoch}");
-                readmitted = Some(epoch);
                 match squall_runtime::transport::read_frame_deadline(&stream, deadline)? {
                     Some((Frame::Job { payload }, _)) => break (payload, stream),
                     other => {
@@ -617,43 +615,34 @@ pub fn serve_job(listener: &TcpListener) -> Result<()> {
     );
 
     // Rebuild the identical topology — without data: every spout task is
-    // placed on the coordinator, so the factories are never invoked here.
-    let empty_data: Vec<Vec<squall_common::Tuple>> = vec![Vec::new(); job.spec.n_relations()];
+    // placed on the coordinator, so the factories are never invoked here
+    // (nor is a view's sink factory: the sink is pinned there too).
     // Checkpoint plumbing: join bolts on this worker hand snapshot blobs
     // to a local channel; a detached forwarder ships them to the
     // coordinator as `SnapshotBlob` frames once the links are up.
-    let mut blob_rx = None;
-    let (topology, restored) = if job.cfg.standing {
-        let blob_tx = (job.cfg.checkpoint_interval > 0).then(|| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            blob_rx = Some(rx);
-            tx
-        });
-        let restore = (job.resume_epoch > 0).then(|| {
-            std::sync::Arc::new(crate::checkpoint::RestoreState {
-                epoch: job.resume_epoch,
-                join: job.restore_join.iter().map(|(t, b)| (*t as usize, b.clone())).collect(),
-                sink: None,
-            })
-        });
-        let restored = restore.is_some();
-        // Standing views rebuild the resident topology shape; the live
-        // queues and the view sink live on the coordinator only.
-        let topology = crate::standing::assemble_standing(
-            &job.spec, empty_data, &job.cfg, None, restore, blob_tx,
-        )?
-        .0;
-        (topology, restored)
+    let empty_data: Vec<Vec<squall_common::Tuple>> = vec![Vec::new(); job.spec.n_relations()];
+    // Only standing views flow checkpoint barriers.
+    let (blob_tx, mut blob_rx) = if job.cfg.standing && job.cfg.checkpoint_interval > 0 {
+        let (tx, rx) = std::sync::mpsc::channel();
+        (Some(tx), Some(rx))
     } else {
-        (assemble(&job.spec, empty_data, &job.cfg)?.topology, false)
+        (None, None)
     };
-    if restored {
+    let restore = (job.resume_epoch > 0).then(|| {
         eprintln!(
             "squall-worker: restoring join state from checkpoint epoch {} ({} blobs shipped)",
             job.resume_epoch,
             job.restore_join.len()
         );
-    }
+        std::sync::Arc::new(crate::checkpoint::RestoreState {
+            epoch: job.resume_epoch,
+            join: job.restore_join.iter().map(|(t, b)| (*t as usize, b.clone())).collect(),
+            sink: None,
+        })
+    });
+    let topology =
+        assemble(&job.spec, empty_data, &job.cfg, &Resident { view: None, restore, blob_tx })?
+            .topology;
     let (_, parallelism, is_spout) = topology.layout();
     let placement = plan_placement(&parallelism, &is_spout, job.peers.len());
 
@@ -672,7 +661,6 @@ pub fn serve_job(listener: &TcpListener) -> Result<()> {
             }
         });
     }
-    let _ = readmitted; // logged above; the run itself is epoch-agnostic
 
     // Local sink emissions stream to the coordinator as they happen.
     while let Some((node, tuple)) = handle.recv() {

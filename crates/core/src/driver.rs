@@ -7,19 +7,23 @@
 //! `scheme = Hybrid` / `local = DBToaster` the join component is the HyLD
 //! operator of §3.4.
 
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use squall_common::{FxHashMap, Result, SquallError, Tuple};
+use squall_common::{FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::MultiJoinSpec;
 use squall_join::{AggSpec, DBToasterJoin, LocalJoin, TraditionalJoin, WindowSpec};
 use squall_partition::optimizer::{build_scheme, SchemeKind};
 use squall_partition::HypercubeScheme;
 use squall_runtime::{
-    ClusterRun, Grouping, IterSpoutVec, NodeId, RunHandle, RunOutcome, SchedulerStats, Topology,
-    TopologyBuilder, TransportStats, DEFAULT_BATCH_SIZE,
+    ClusterRun, Grouping, IterSpoutVec, LiveItem, LiveQueue, LiveSpout, NodeId, RunHandle,
+    RunOutcome, SchedulerStats, Topology, TopologyBuilder, TransportStats, DEFAULT_BATCH_SIZE,
 };
 
+use crate::checkpoint::{RestoreState, SnapshotBlobMsg};
 use crate::cluster::{boot_coordinator, ClusterSpec};
+use crate::operators::{AggBolt, JoinBolt, JoinEmit, WindowMergeBolt, WindowedAggBolt};
+use crate::standing::{ViewPlan, ViewShared, ViewSinkBolt};
 
 /// Which local join algorithm each machine runs (§3.3 / Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,11 +106,10 @@ pub struct MultiwayConfig {
     /// every task in this process). Routing, results and per-machine
     /// loads are placement-independent; only the wire moves.
     pub cluster: Option<ClusterSpec>,
-    /// Resident (standing-view) topology: spouts are live queues that
-    /// stay up after the initial load, tuples carry trailing
-    /// multiplicity/epoch columns, and the sink is a view-maintenance
-    /// bolt (see [`crate::standing`]). Workers use this flag to rebuild
-    /// the standing topology shape instead of the batch one.
+    /// Resident (standing-view) topology: selects live-queue sources
+    /// feeding `[weight, epoch]` deltas and the view-maintenance sink
+    /// (see [`crate::standing`]) instead of iterator spouts and the
+    /// one-shot sink stage. The join is the same either way.
     pub standing: bool,
     /// Checkpoint every N epochs (standing views only; `0` disables). At
     /// each multiple an aligned barrier flows through the data plane and
@@ -196,8 +199,7 @@ pub struct JoinReport {
     pub input_count: u64,
     /// Input tuples per relation, in spec order — the per-step "actual
     /// rows" column of the planner's estimated-vs-actual explain table.
-    /// Empty on paths that do not track per-relation counts (pipeline
-    /// mode, standing views).
+    /// Empty in pipeline mode, which does not track per-relation counts.
     pub input_counts: Vec<u64>,
     /// Per-join-machine received-tuple loads (Table 1).
     pub loads: Vec<u64>,
@@ -303,10 +305,12 @@ fn make_local(kind: LocalJoinKind, spec: &MultiJoinSpec, count_only: bool) -> Bo
 pub(crate) struct RunContext {
     join_node: NodeId,
     source_nodes: Vec<NodeId>,
-    agg_node: Option<NodeId>,
-    /// The ordered window-merge sink (windowed aggregation only).
-    merge_node: Option<NodeId>,
-    scheme_description: String,
+    /// The last stage: the view sink, the window merge, the aggregation,
+    /// or the join itself.
+    sink_node: NodeId,
+    /// Join-task (machine) count — how many join blobs a checkpoint needs.
+    pub(crate) join_tasks: usize,
+    pub(crate) scheme_description: String,
     input_count: u64,
     input_counts: Vec<u64>,
     agg_set: bool,
@@ -317,17 +321,45 @@ pub(crate) struct RunContext {
 pub(crate) struct Assembled {
     pub(crate) topology: Topology,
     pub(crate) ctx: RunContext,
+    /// A standing view's source queues, one per relation (empty for
+    /// one-shot queries).
+    pub(crate) queues: Vec<Arc<LiveQueue>>,
+}
+
+/// What a standing view's topology needs beyond the query itself.
+#[derive(Default)]
+pub(crate) struct Resident {
+    /// The view plan and state the sink applies epochs into (`None` on
+    /// workers: the parallelism-1 sink is pinned to the coordinator).
+    pub(crate) view: Option<(Arc<ViewPlan>, Arc<ViewShared>)>,
+    /// Restore every operator from this checkpoint; the epoch-1 preload
+    /// is then skipped (recovery replays rounds with their epochs).
+    pub(crate) restore: Option<Arc<RestoreState>>,
+    /// Where join tasks ship their checkpoint blobs.
+    pub(crate) blob_tx: Option<Sender<SnapshotBlobMsg>>,
+}
+
+/// Append the `[weight, epoch]` delta columns to a payload row.
+pub(crate) fn tag_delta(row: &Tuple, mult: i64, epoch: u64) -> Tuple {
+    let mut v = Vec::with_capacity(row.arity() + 2);
+    v.extend_from_slice(row.values());
+    v.push(Value::Int(mult));
+    v.push(Value::Int(epoch as i64));
+    Tuple::new(v)
 }
 
 /// Translate a multi-way join query into a runnable topology (the
-/// Squall-to-Storm translation of Figure 1), shared by the collect-all,
-/// streaming and distributed execution paths (workers rebuild the very
-/// same topology from a shipped [`crate::cluster::JobSpec`] with empty
-/// data — their spout tasks live on the coordinator).
+/// Squall-to-Storm translation of Figure 1) — the one assembler behind
+/// the collect-all, streaming, distributed and standing-view paths
+/// (workers rebuild the very same topology from a shipped
+/// [`crate::cluster::JobSpec`] with empty data — their spout tasks live
+/// on the coordinator). [`MultiwayConfig::standing`] picks only the
+/// sources and the sink stage; the join is the same [`JoinBolt`].
 pub(crate) fn assemble(
     spec: &MultiJoinSpec,
     data: Vec<Vec<Tuple>>,
     cfg: &MultiwayConfig,
+    resident: &Resident,
 ) -> Result<Assembled> {
     if data.len() != spec.n_relations() {
         return Err(SquallError::InvalidPlan(format!(
@@ -360,9 +392,16 @@ pub(crate) fn assemble(
             }
         }
     }
-    let scheme: Arc<HypercubeScheme> =
-        Arc::new(build_scheme(cfg.scheme, spec, cfg.machines, cfg.seed)?);
-    let scheme_description = scheme.describe();
+    // A single relation needs no partitioning scheme (the one-relation
+    // join is the identity): one task behind a global grouping.
+    let (machines, scheme): (usize, Option<Arc<HypercubeScheme>>) = match spec.n_relations() {
+        1 => (1, None),
+        _ => {
+            (cfg.machines, Some(Arc::new(build_scheme(cfg.scheme, spec, cfg.machines, cfg.seed)?)))
+        }
+    };
+    let scheme_description =
+        scheme.as_ref().map_or_else(|| "single-relation identity".to_string(), |s| s.describe());
     let input_counts: Vec<u64> = data.iter().map(|d| d.len() as u64).collect();
     let input_count: u64 = input_counts.iter().sum();
 
@@ -370,22 +409,38 @@ pub(crate) fn assemble(
     if let Some(workers) = cfg.worker_threads {
         b = b.worker_threads(workers);
     }
-    // One spout per relation, split across source_parallelism tasks.
-    // Windowed runs pin each relation to one spout task: the watermark
-    // eviction contract needs per-relation event-time order at every join
-    // task, which strided multi-task spouts would break.
+    // One spout per relation: a view's live queue (preloaded with the
+    // initial load as epoch-1 deltas), or an iterator split across
+    // source_parallelism tasks. Windowed runs pin each relation to one
+    // spout task: the watermark eviction contract needs per-relation
+    // event-time order at every join task, which strided spouts break.
     let mut source_nodes = Vec::with_capacity(data.len());
+    let mut queues = Vec::new();
     for (rel, tuples) in data.into_iter().enumerate() {
-        let shared = Arc::new(tuples);
-        let par = if cfg.window.is_some() { 1 } else { cfg.source_parallelism.max(1) };
-        let node = b.add_spout(format!("src-{}", spec.relations[rel].name), par, move |task| {
-            Box::new(IterSpoutVec::strided(Arc::clone(&shared), task, par))
-        });
+        let name = format!("src-{}", spec.relations[rel].name);
+        let node = if cfg.standing {
+            let queue = Arc::new(LiveQueue::new());
+            if resident.restore.is_none() {
+                for t in &tuples {
+                    queue.push(LiveItem::Delta(tag_delta(t, 1, 1)));
+                }
+                queue.push(LiveItem::Watermark(1));
+            }
+            queues.push(Arc::clone(&queue));
+            b.add_spout(name, 1, move |_task| Box::new(LiveSpout::new(Arc::clone(&queue))))
+        } else {
+            let shared = Arc::new(tuples);
+            let par = if cfg.window.is_some() { 1 } else { cfg.source_parallelism.max(1) };
+            b.add_spout(name, par, move |task| {
+                Box::new(IterSpoutVec::strided(Arc::clone(&shared), task, par))
+            })
+        };
         source_nodes.push(node);
     }
 
     // The join component.
     let spec_arc = Arc::new(spec.clone());
+    let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
     let origin_map: FxHashMap<usize, usize> =
         source_nodes.iter().enumerate().map(|(rel, &node)| (node, rel)).collect();
     let local = cfg.local;
@@ -395,11 +450,7 @@ pub(crate) fn assemble(
     // (the window predicate reads their event-time columns), so the
     // aggregated count-only views — which elide those columns — are out.
     let minimal_views = count_only && cfg.window.is_none();
-    let emit = if count_only {
-        crate::operators::JoinEmit::CountOnly
-    } else {
-        crate::operators::JoinEmit::Results
-    };
+    let emit = if count_only { JoinEmit::CountOnly } else { JoinEmit::Results };
     let spec_for_bolt = Arc::clone(&spec_arc);
     let origin_map = Arc::new(origin_map);
     let window = cfg.window.clone();
@@ -407,15 +458,15 @@ pub(crate) fn assemble(
     // event-time watermarks (throttled to one per window length) so the
     // aggregate can close windows while the stream is still running.
     let windowed_agg = cfg.window.is_some() && cfg.agg.is_some();
-    let join_node = b.add_bolt("join", cfg.machines, move |task| {
+    let join_restore = resident.restore.clone();
+    let blob_tx = resident.blob_tx.clone();
+    let join_node = b.add_bolt("join", machines, move |task| {
         let origin_to_rel: FxHashMap<usize, usize> =
             origin_map.iter().map(|(&k, &v)| (k, v)).collect();
         let local_join = make_local(local, &spec_for_bolt, minimal_views);
         let mut bolt = match &window {
             Some(w) => {
-                let arities: Vec<usize> =
-                    spec_for_bolt.relations.iter().map(|r| r.schema.arity()).collect();
-                let mut bolt = crate::operators::JoinBolt::new_windowed(
+                let mut bolt = JoinBolt::new_windowed(
                     task,
                     origin_to_rel,
                     local_join,
@@ -434,30 +485,55 @@ pub(crate) fn assemble(
                 }
                 bolt
             }
-            None => crate::operators::JoinBolt::new(
-                task,
-                origin_to_rel,
-                local_join,
-                spec_for_bolt.n_relations(),
-                emit,
-            ),
+            None => JoinBolt::new(task, origin_to_rel, local_join, &arities, emit),
         };
         if let Some(budget) = budget {
             bolt = bolt.with_budget(budget);
         }
+        let mut bolt = bolt.with_checkpoints(blob_tx.clone());
+        if let Some(rs) = &join_restore {
+            if let Some(blob) = rs.join.get(&task) {
+                // Blobs are self-produced (and byte-checked by recovery):
+                // failing to parse one is a bug, not an input error.
+                bolt.restore(rs.epoch, blob).expect("restore self-produced join checkpoint blob");
+            }
+        }
         Box::new(bolt)
     });
     for (rel, &src) in source_nodes.iter().enumerate() {
-        b.connect(src, join_node, Grouping::Custom(Arc::new(scheme.grouping_for(rel))));
+        let grouping = match &scheme {
+            Some(s) => Grouping::Custom(Arc::new(s.grouping_for(rel))),
+            None => Grouping::Global,
+        };
+        b.connect(src, join_node, grouping);
     }
 
-    // Optional aggregation.
-    let mut agg_node = None;
-    let mut merge_node = None;
-    if let Some(agg) = &cfg.agg {
+    // The sink stage.
+    let sink_node = if cfg.standing {
+        // The view sink: one task, pinned to the coordinator.
+        let view = resident.view.clone();
+        let restore = resident.restore.clone();
+        let blob_tx = resident.blob_tx.clone();
+        let node = b.add_bolt("view", 1, move |_task| {
+            let (plan, shared) = view.as_ref().expect(
+                "the view sink runs at parallelism 1, which plan_placement pins to the coordinator",
+            );
+            let mut bolt =
+                ViewSinkBolt::new(Arc::clone(plan), Arc::clone(shared), machines, blob_tx.clone());
+            if let Some(rs) = &restore {
+                if let Some(blob) = &rs.sink {
+                    bolt.restore(rs.epoch, blob)
+                        .expect("restore self-produced sink checkpoint blob");
+                }
+            }
+            Box::new(bolt)
+        });
+        b.connect(join_node, node, Grouping::Global);
+        node
+    } else if let Some(agg) = &cfg.agg {
         let group_cols = agg.group_cols.clone();
         let aggs = agg.aggs.clone();
-        let node = match &cfg.window {
+        match &cfg.window {
             Some(w) => {
                 // Per-window aggregation, group-hash sharded: a `Fields`
                 // grouping on the group columns gives each of the
@@ -469,14 +545,14 @@ pub(crate) fn assemble(
                 // every shard, so each shard closes against the same
                 // cross-task minimum. A single merge task downstream
                 // restores the global window-order contract (see
-                // [`crate::operators::WindowMergeBolt`]).
+                // [`WindowMergeBolt`]).
                 let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
                 let ts_cols = squall_join::output_ts_cols(&arities, &w.ts_cols);
                 let wspec = w.spec;
-                let n_upstream = cfg.machines.max(1);
+                let n_upstream = machines;
                 let shards = agg.parallelism.max(1);
                 let node = b.add_bolt("agg", shards, move |_task| {
-                    Box::new(crate::operators::WindowedAggBolt::new(
+                    Box::new(WindowedAggBolt::new(
                         wspec,
                         ts_cols.clone(),
                         group_cols.clone(),
@@ -488,20 +564,14 @@ pub(crate) fn assemble(
                 // remaining shards stay idle but still forward watermark
                 // boundaries, so the merge never waits on them.
                 b.connect(join_node, node, Grouping::Fields(agg.group_cols.clone()));
-                let merge = b.add_bolt("agg-merge", 1, move |_task| {
-                    Box::new(crate::operators::WindowMergeBolt::new(shards))
-                });
+                let merge =
+                    b.add_bolt("agg-merge", 1, move |_task| Box::new(WindowMergeBolt::new(shards)));
                 b.connect(node, merge, Grouping::Global);
-                merge_node = Some(merge);
-                node
+                merge
             }
             None => {
                 let node = b.add_bolt("agg", agg.parallelism, move |_task| {
-                    Box::new(crate::operators::AggBolt::new(
-                        group_cols.clone(),
-                        aggs.clone(),
-                        false,
-                    ))
+                    Box::new(AggBolt::new(group_cols.clone(), aggs.clone()))
                 });
                 // Group-key partitioning; a global grouping if no keys.
                 let grouping = if agg.group_cols.is_empty() {
@@ -512,23 +582,25 @@ pub(crate) fn assemble(
                 b.connect(join_node, node, grouping);
                 node
             }
-        };
-        agg_node = Some(node);
-    }
+        }
+    } else {
+        join_node
+    };
 
     Ok(Assembled {
         topology: b.build()?,
         ctx: RunContext {
             join_node,
             source_nodes,
-            agg_node,
-            merge_node,
+            sink_node,
+            join_tasks: machines,
             scheme_description,
             input_count,
             input_counts,
             agg_set: cfg.agg.is_some(),
             collect_results: cfg.collect_results,
         },
+        queues,
     })
 }
 
@@ -536,9 +608,9 @@ pub(crate) fn assemble(
 /// the count-only tally when the sink output was consumed by a stream
 /// rather than collected in `outcome.outputs`. For distributed runs the
 /// remote peers' metric snapshots must already be merged into
-/// `outcome.metrics` — the report then measures the whole cluster, and
-/// `loads` is identical to the single-process run.
-fn summarize(
+/// `outcome.metrics` (see [`finish_run`]) — the report then measures the
+/// whole cluster, and `loads` is identical to the single-process run.
+pub(crate) fn summarize(
     ctx: RunContext,
     outcome: RunOutcome,
     streamed_count: Option<u64>,
@@ -556,8 +628,7 @@ fn summarize(
     let loads = join_metrics.received.clone();
     let replication_factor = metrics.replication_factor(ctx.join_node, &ctx.source_nodes);
     let skew_degree = join_metrics.skew_degree();
-    let sinks = [ctx.merge_node.or(ctx.agg_node).unwrap_or(ctx.join_node)];
-    let network_factor = metrics.intermediate_network_factor(&ctx.source_nodes, &sinks);
+    let network_factor = metrics.intermediate_network_factor(&ctx.source_nodes, &[ctx.sink_node]);
     let results = match (ctx.agg_set, ctx.collect_results) {
         (false, false) => Vec::new(),
         _ => outcome.outputs.into_iter().map(|(_, t)| t).collect(),
@@ -580,6 +651,49 @@ fn summarize(
     }
 }
 
+/// Launch an assembled topology in process, or across `cfg.cluster` with
+/// `blob_tx` receiving workers' checkpoint blobs and, for standing views,
+/// heartbeats armed. `restore` and `readmit` describe a recovery
+/// relaunch (see [`crate::cluster::boot_coordinator`]).
+pub(crate) fn launch(
+    topology: Topology,
+    spec: &MultiJoinSpec,
+    cfg: &MultiwayConfig,
+    blob_tx: Option<Sender<SnapshotBlobMsg>>,
+    restore: Option<&RestoreState>,
+    readmit: Option<u64>,
+) -> Result<(RunHandle, Option<ClusterRun>)> {
+    let Some(cluster_spec) = &cfg.cluster else { return Ok((topology.launch(), None)) };
+    let (placement, mut links) =
+        boot_coordinator(topology.layout(), spec, cfg, cluster_spec, restore, readmit)?;
+    links.blob_tx = blob_tx;
+    if cfg.standing && cfg.heartbeat_timeout_ms > 0 {
+        links.heartbeat = Some(std::time::Duration::from_millis(cfg.heartbeat_timeout_ms));
+    }
+    let (handle, run) = topology.launch_cluster(placement, links);
+    Ok((handle, Some(run)))
+}
+
+/// Join a drained run's local pool and, when it ran across a cluster, its
+/// links: every egress queue then holds its final punctuation, the
+/// workers' metric snapshots (their local task counters; everything else
+/// zero) fold into ours, and a remote error is adopted if we had none.
+pub(crate) fn finish_run(
+    handle: RunHandle,
+    cluster: Option<ClusterRun>,
+) -> (RunOutcome, Option<TransportStats>) {
+    let mut outcome = handle.finish();
+    let Some(cluster) = cluster else { return (outcome, None) };
+    let summary = cluster.finish(None);
+    for remote in &summary.remote_metrics {
+        outcome.metrics.merge(remote);
+    }
+    if outcome.error.is_none() {
+        outcome.error = summary.remote_error;
+    }
+    (outcome, Some(summary.transport))
+}
+
 /// Run a multi-way join (optionally + aggregation) end to end.
 ///
 /// `data[rel]` is relation `rel`'s input stream. Deterministic: the same
@@ -600,7 +714,7 @@ pub fn run_multiway(
         report.results = rows;
         return Ok(report);
     }
-    let Assembled { topology, ctx } = assemble(spec, data, cfg)?;
+    let Assembled { topology, ctx, .. } = assemble(spec, data, cfg, &Resident::default())?;
     Ok(summarize(ctx, topology.run(), None, None))
 }
 
@@ -619,17 +733,9 @@ pub fn run_multiway_stream(
     data: Vec<Vec<Tuple>>,
     cfg: &MultiwayConfig,
 ) -> Result<MultiwayStream> {
-    let Assembled { topology, ctx } = assemble(spec, data, cfg)?;
+    let Assembled { topology, ctx, .. } = assemble(spec, data, cfg, &Resident::default())?;
     let count_only = !ctx.agg_set && !ctx.collect_results;
-    let (handle, cluster) = match &cfg.cluster {
-        None => (topology.launch(), None),
-        Some(cluster_spec) => {
-            let (placement, links) =
-                boot_coordinator(topology.layout(), spec, cfg, cluster_spec, None, None)?;
-            let (handle, run) = topology.launch_cluster(placement, links);
-            (handle, Some(run))
-        }
-    };
+    let (handle, cluster) = launch(topology, spec, cfg, None, None, None)?;
     Ok(MultiwayStream {
         handle: Some(handle),
         cluster,
@@ -678,23 +784,7 @@ impl MultiwayStream {
     fn complete(&mut self) {
         if let (Some(handle), Some(ctx)) = (self.handle.take(), self.ctx.take()) {
             let streamed = self.count_only.then_some(self.streamed);
-            let mut outcome = handle.finish();
-            let mut transport = None;
-            if let Some(cluster) = self.cluster.take() {
-                // The local pool is joined: every egress queue holds its
-                // final punctuation. Drain the links, fold the workers'
-                // metric snapshots (their local task counters; everything
-                // else zero) into ours, and adopt a remote error if we
-                // had none.
-                let summary = cluster.finish(None);
-                for remote in &summary.remote_metrics {
-                    outcome.metrics.merge(remote);
-                }
-                if outcome.error.is_none() {
-                    outcome.error = summary.remote_error;
-                }
-                transport = Some(summary.transport);
-            }
+            let (outcome, transport) = finish_run(handle, self.cluster.take());
             self.report = Some(summarize(ctx, outcome, streamed, transport));
         }
     }

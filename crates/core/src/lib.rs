@@ -34,6 +34,5 @@ pub use driver::{
 pub use operators::{AggBolt, JoinBolt, SelectProjectBolt, WindowMergeBolt, WindowedAggBolt};
 pub use pipeline::run_pipeline;
 pub use standing::{
-    assemble_standing, launch_standing, ChangeBatch, DeltaRound, StandingHandle, StandingLayout,
-    ViewPlan, ViewShared, ViewWindow,
+    launch_standing, ChangeBatch, DeltaRound, StandingHandle, ViewPlan, ViewShared, ViewWindow,
 };

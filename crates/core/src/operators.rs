@@ -2,12 +2,20 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::hash::Hash;
+use std::ops::RangeInclusive;
+use std::sync::mpsc::Sender;
 
 use squall_common::array::Array;
+use squall_common::codec::Reader;
 use squall_common::{Chunk, ChunkBuilder, FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::ScalarExpr;
-use squall_join::{AggSpec, GroupByAggregator, LocalJoin, WindowJoin, WindowSpec};
+use squall_join::{
+    event_time, time_span, AggSpec, GroupByAggregator, LocalJoin, Snapshot, WindowJoin, WindowSpec,
+};
 use squall_runtime::{Bolt, NodeId, OutputCollector};
+
+use crate::checkpoint::{SnapshotBlobMsg, JOIN_BLOB_FULL, JOIN_BLOB_WINDOWED, ROLE_JOIN};
 
 /// Selection + projection in one bolt (Squall co-locates these with the
 /// data source whenever possible, §2; a standalone bolt is used when the
@@ -133,14 +141,41 @@ pub enum JoinEmit {
     CountOnly,
 }
 
-/// Exactly-once ownership predicate for range schemes:
-/// `f(relation_of_last_arrival, result) -> keep`.
-pub type OwnerFilter = Box<dyn Fn(usize, &Tuple) -> bool + Send>;
+/// The latest watermark of each upstream sender, and their minimum — the
+/// promise every watermark-driven operator waits on.
+pub(crate) struct Frontiers<K> {
+    latest: FxHashMap<K, u64>,
+    senders: usize,
+}
+
+impl<K: Hash + Eq> Frontiers<K> {
+    pub(crate) fn new(senders: usize) -> Frontiers<K> {
+        Frontiers { latest: FxHashMap::default(), senders }
+    }
+
+    /// Record `ts` from `sender`: the minimum across senders once every
+    /// one has promised a frontier (before that no minimum is meaningful).
+    pub(crate) fn advance(&mut self, sender: K, ts: u64) -> Option<u64> {
+        let slot = self.latest.entry(sender).or_insert(0);
+        *slot = (*slot).max(ts);
+        (self.latest.len() >= self.senders)
+            .then(|| self.latest.values().copied().min().unwrap_or(0))
+    }
+}
 
 /// The distributed join task: one [`LocalJoin`] instance per machine
 /// (task), fed by the partitioning scheme's groupings. With a hypercube
 /// grouping and a [`squall_join::DBToasterJoin`] inside, this is the HyLD
 /// operator of §3.4.
+///
+/// It serves one-shot queries and standing views alike. A chunk exactly
+/// as wide as its relation is insert-only (weight +1, the one-shot path);
+/// one with two more Int columns holds signed `[weight, epoch]` deltas,
+/// applied through [`LocalJoin::signed_delta`] or the event-time
+/// [`WindowJoin`] (windowed views, append-only) and emitted as
+/// `[result…, weight, epoch]`. Deltas apply in epoch order: one ahead of
+/// the slowest source's epoch watermark + 1 waits for that watermark, so
+/// each result carries the epoch of its newest input.
 pub struct JoinBolt {
     /// Maps the upstream node that emitted a tuple to its relation index.
     origin_to_rel: FxHashMap<NodeId, usize>,
@@ -148,15 +183,13 @@ pub struct JoinBolt {
     /// `tuple[ts_cols[rel]]` supplies the window timestamp; empty for
     /// full-history semantics (timestamps then count arrivals).
     ts_cols: Vec<Option<usize>>,
+    /// Payload width of each relation's tuples.
+    arities: Vec<usize>,
     arrivals: u64,
     emit: JoinEmit,
     /// Per-machine stored-tuple budget (the §7.3 memory-overflow
     /// experiments); `None` = unlimited.
     budget: Option<usize>,
-    /// Optional exactly-once ownership filter for range schemes (M-Bucket
-    /// / EWH assign *cells*, so a machine owning several cells of a row
-    /// must keep only the pairs it owns).
-    owner_filter: Option<OwnerFilter>,
     machine: usize,
     buf: Vec<Tuple>,
     wbuf: Vec<(Tuple, i64)>,
@@ -167,32 +200,60 @@ pub struct JoinBolt {
     wm_granule: Option<u64>,
     /// Next watermark value at which a forward is due.
     next_wm: u64,
+    /// Epoch watermarks per source node.
+    frontiers: Frontiers<NodeId>,
+    /// The slowest source's epoch watermark, as last forwarded downstream.
+    frontier: u64,
+    /// Deltas whose epoch is ahead of `frontier + 1`, by epoch:
+    /// `(relation, payload, weight)` in arrival order.
+    waiting: BTreeMap<u64, Vec<(usize, Tuple, i64)>>,
+    /// Checkpoint blob channel (local on the coordinator; forwarded as
+    /// `SnapshotBlob` frames by a worker). `None` = checkpoints off.
+    blob_tx: Option<Sender<SnapshotBlobMsg>>,
 }
 
 impl JoinBolt {
-    /// A full-history join bolt.
-    pub fn new(
+    fn build(
         machine: usize,
         origin_to_rel: FxHashMap<NodeId, usize>,
-        join: Box<dyn LocalJoin>,
-        n_relations: usize,
+        join: WindowJoin<Box<dyn LocalJoin>>,
+        ts_cols: Vec<Option<usize>>,
+        arities: &[usize],
         emit: JoinEmit,
     ) -> JoinBolt {
         JoinBolt {
+            frontiers: Frontiers::new(origin_to_rel.len()),
             origin_to_rel,
-            join: WindowJoin::new(join, n_relations, WindowSpec::FullHistory),
-            ts_cols: vec![None; n_relations],
+            join,
+            ts_cols,
+            arities: arities.to_vec(),
             arrivals: 0,
             emit,
             budget: None,
-            owner_filter: None,
             machine,
             buf: Vec::new(),
             wbuf: Vec::new(),
             results: 0,
             wm_granule: None,
             next_wm: 0,
+            frontier: 0,
+            waiting: BTreeMap::new(),
+            blob_tx: None,
         }
+    }
+
+    /// A full-history join bolt; `arities[rel]` is each relation's tuple
+    /// width.
+    pub fn new(
+        machine: usize,
+        origin_to_rel: FxHashMap<NodeId, usize>,
+        join: Box<dyn LocalJoin>,
+        arities: &[usize],
+        emit: JoinEmit,
+    ) -> JoinBolt {
+        let n = arities.len();
+        let join = WindowJoin::new(join, n, WindowSpec::FullHistory);
+        JoinBolt::build(machine, origin_to_rel, join, vec![None; n], arities, emit)
     }
 
     /// A windowed join bolt under *event-time* semantics: `ts_cols[rel]`
@@ -211,21 +272,9 @@ impl JoinBolt {
         ts_cols: Vec<usize>,
         arities: &[usize],
     ) -> JoinBolt {
-        JoinBolt {
-            origin_to_rel,
-            join: WindowJoin::event_time(join, spec, arities, &ts_cols),
-            ts_cols: ts_cols.into_iter().map(Some).collect(),
-            arrivals: 0,
-            emit,
-            budget: None,
-            owner_filter: None,
-            machine,
-            buf: Vec::new(),
-            wbuf: Vec::new(),
-            results: 0,
-            wm_granule: None,
-            next_wm: 0,
-        }
+        let join = WindowJoin::event_time(join, spec, arities, &ts_cols);
+        let ts_cols = ts_cols.into_iter().map(Some).collect();
+        JoinBolt::build(machine, origin_to_rel, join, ts_cols, arities, emit)
     }
 
     /// Forward this task's event-time watermark downstream whenever it
@@ -246,15 +295,24 @@ impl JoinBolt {
         self
     }
 
-    /// Exactly-once filter: `f(relation_of_last_arrival, result)` must
-    /// return true for the bolt to emit (range-scheme cell ownership).
-    pub fn with_owner_filter(mut self, f: OwnerFilter) -> JoinBolt {
-        self.owner_filter = Some(f);
+    /// Ship a snapshot of the join state to `blob_tx` at every checkpoint
+    /// barrier (`None` = checkpoints off).
+    pub(crate) fn with_checkpoints(mut self, blob_tx: Option<Sender<SnapshotBlobMsg>>) -> JoinBolt {
+        self.blob_tx = blob_tx;
         self
     }
 
-    pub fn results(&self) -> u64 {
-        self.results
+    /// Rebuild join state from a checkpoint blob (tag byte + the join's
+    /// [`Snapshot`] bytes) and resume at the checkpoint's `epoch`.
+    pub(crate) fn restore(&mut self, epoch: u64, blob: &[u8]) -> Result<()> {
+        let mut r = Reader::new(blob);
+        match (r.u8()?, self.join.is_event_time()) {
+            (JOIN_BLOB_FULL, false) => self.join.inner_mut().restore_state(&mut r)?,
+            (JOIN_BLOB_WINDOWED, true) => self.join.restore_state(&mut r)?,
+            _ => return Err(SquallError::Codec("join checkpoint blob tag mismatch".into())),
+        }
+        self.frontier = epoch;
+        r.finish()
     }
 
     fn rel_of(&self, origin: NodeId) -> Result<usize> {
@@ -264,19 +322,24 @@ impl JoinBolt {
             .ok_or_else(|| SquallError::Runtime(format!("unknown origin node {origin}")))
     }
 
-    /// Process one arrival whose relation is already resolved — the
-    /// per-tuple body shared by [`Bolt::execute`] and the chunked path
-    /// (which resolves the relation once per chunk).
+    fn check_budget(&self) -> Result<()> {
+        if let Some(budget) = self.budget {
+            let stored = self.join.inner().stored();
+            if stored > budget {
+                return Err(SquallError::MemoryOverflow { machine: self.machine, stored, budget });
+            }
+        }
+        Ok(())
+    }
+
+    /// Process one insert-only arrival whose relation is already resolved.
     fn step(&mut self, rel: usize, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
         self.arrivals += 1;
         let ts = match self.ts_cols[rel] {
             Some(c) => tuple.get(c).as_int()? as u64,
             None => self.arrivals,
         };
-        if self.emit == JoinEmit::CountOnly
-            && self.owner_filter.is_none()
-            && !self.join.is_event_time()
-        {
+        if self.emit == JoinEmit::CountOnly && !self.join.is_event_time() {
             // Weighted fast path: aggregated DBToaster views report
             // (tuple, multiplicity) deltas without materializing hot-key
             // outputs (§3.3).
@@ -286,9 +349,6 @@ impl JoinBolt {
         } else {
             self.buf.clear();
             self.join.insert(rel, ts, &tuple, &mut self.buf);
-            if let Some(filter) = &self.owner_filter {
-                self.buf.retain(|t| filter(rel, t));
-            }
             self.results += self.buf.len() as u64;
             if self.emit == JoinEmit::Results {
                 for t in self.buf.drain(..) {
@@ -308,20 +368,79 @@ impl JoinBolt {
                 }
             }
         }
-        if let Some(budget) = self.budget {
-            let stored = self.join.inner().stored();
-            if stored > budget {
-                return Err(SquallError::MemoryOverflow { machine: self.machine, stored, budget });
+        self.check_budget()
+    }
+
+    /// Apply every waiting delta of an epoch at or below `through`, in
+    /// epoch order.
+    fn release(&mut self, through: u64, out: &mut OutputCollector) -> Result<()> {
+        while let Some(entry) = self.waiting.first_entry() {
+            if *entry.key() > through {
+                break;
+            }
+            let (epoch, deltas) = entry.remove_entry();
+            for (rel, payload, mult) in deltas {
+                self.apply_delta(rel, &payload, mult, epoch, out)?;
             }
         }
         Ok(())
     }
+
+    /// Apply one signed delta to the join state and emit its signed
+    /// results as `[result…, weight, epoch]`.
+    fn apply_delta(
+        &mut self,
+        rel: usize,
+        payload: &Tuple,
+        mult: i64,
+        epoch: u64,
+        out: &mut OutputCollector,
+    ) -> Result<()> {
+        self.wbuf.clear();
+        match self.ts_cols[rel] {
+            None => self.join.inner_mut().signed_delta(rel, payload, mult, &mut self.wbuf)?,
+            Some(c) => {
+                if mult != 1 {
+                    return Err(SquallError::Runtime(format!(
+                        "windowed standing views are append-only (got a weight-{mult} delta)"
+                    )));
+                }
+                let ts = event_time(payload.get(c).as_int()?)?;
+                self.join.insert_weighted(rel, ts, payload, &mut self.wbuf);
+            }
+        }
+        for (t, m) in self.wbuf.drain(..) {
+            let mut v = Vec::with_capacity(t.arity() + 2);
+            v.extend_from_slice(t.values());
+            v.push(Value::Int(m));
+            v.push(Value::Int(epoch as i64));
+            out.emit(Tuple::new(v));
+        }
+        self.check_budget()
+    }
+}
+
+/// The `[weight, epoch]` columns of a delta chunk whose payload is
+/// `payload_arity` wide, as Int slices.
+pub(crate) fn delta_columns(chunk: &Chunk, payload_arity: usize) -> Result<(&[i64], &[i64])> {
+    if chunk.n_cols() != payload_arity + 2 {
+        return Err(SquallError::Runtime(format!(
+            "a {}-column chunk for a {payload_arity}-column relation \
+             (expected the payload, plus [weight, epoch] for deltas)",
+            chunk.n_cols()
+        )));
+    }
+    let int = |c: usize| {
+        chunk.column(c).as_i64().filter(|a| a.validity().is_none()).map(|a| a.values()).ok_or_else(
+            || SquallError::Runtime("delta weight and epoch columns must be non-null Int".into()),
+        )
+    };
+    Ok((int(payload_arity)?, int(payload_arity + 1)?))
 }
 
 impl Bolt for JoinBolt {
     fn execute(&mut self, origin: NodeId, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
-        let rel = self.rel_of(origin)?;
-        self.step(rel, tuple, out)
+        self.execute_chunk(origin, &Chunk::from_tuples(std::slice::from_ref(&tuple)), out)
     }
 
     fn execute_chunk(
@@ -331,16 +450,52 @@ impl Bolt for JoinBolt {
         out: &mut OutputCollector,
     ) -> Result<()> {
         // One relation lookup per chunk: every tuple in a batch shares its
-        // origin node, so the per-row hash-map probe of the row path is
-        // pure overhead here.
+        // origin node, so a per-row hash-map probe is pure overhead.
         let rel = self.rel_of(origin)?;
-        for tuple in chunk.rows() {
-            self.step(rel, tuple, out)?;
+        let arity = self.arities[rel];
+        if chunk.n_cols() == arity || chunk.is_empty() {
+            for tuple in chunk.rows() {
+                self.step(rel, tuple, out)?;
+            }
+            return Ok(());
+        }
+        let (weights, epochs) = delta_columns(chunk, arity)?;
+        for i in 0..chunk.n_rows() {
+            let payload: Tuple = chunk.columns()[..arity].iter().map(|c| c.value(i)).collect();
+            // A negative epoch reads as 0, which the view sink rejects.
+            let epoch = u64::try_from(epochs[i]).unwrap_or(0);
+            if epoch > self.frontier.saturating_add(1) {
+                // Ahead of the slowest source: wait for its watermark.
+                self.waiting.entry(epoch).or_default().push((rel, payload, weights[i]));
+            } else {
+                self.apply_delta(rel, &payload, weights[i], epoch, out)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Epoch watermarks from the sources: once every source has reported,
+    /// release the deltas the slowest one unblocks, then forward its
+    /// epoch downstream.
+    fn watermark(
+        &mut self,
+        origin: NodeId,
+        _from_task: usize,
+        ts: u64,
+        out: &mut OutputCollector,
+    ) -> Result<()> {
+        let Some(w) = self.frontiers.advance(origin, ts) else { return Ok(()) };
+        if w > self.frontier {
+            self.frontier = w;
+            self.release(w.saturating_add(1), out)?;
+            out.emit_watermark(w);
         }
         Ok(())
     }
 
     fn finish(&mut self, out: &mut OutputCollector) -> Result<()> {
+        // Every source is done: nothing can hold a waiting delta back.
+        self.release(u64::MAX, out)?;
         if self.wm_granule.is_some() {
             // This task will never emit again: release downstream windows
             // unconditionally (a task that saw no data for some relation
@@ -353,52 +508,61 @@ impl Bolt for JoinBolt {
         }
         Ok(())
     }
+
+    /// Barrier alignment: snapshot this task's join state, ship the blob
+    /// toward the coordinator's checkpoint store, and forward the barrier
+    /// downstream. A synchronous checkpoint round issues no later epoch,
+    /// so the state covers exactly the epochs up to the barrier's and
+    /// nothing is waiting.
+    fn barrier(&mut self, epoch: u64, out: &mut OutputCollector) -> Result<()> {
+        debug_assert!(self.waiting.is_empty(), "deltas waiting at an aligned barrier");
+        if let Some(tx) = &self.blob_tx {
+            let mut buf = Vec::new();
+            if self.join.is_event_time() {
+                buf.push(JOIN_BLOB_WINDOWED);
+                self.join.snapshot_state(&mut buf);
+            } else {
+                buf.push(JOIN_BLOB_FULL);
+                self.join.inner().snapshot_state(&mut buf);
+            }
+            let _ = tx.send((ROLE_JOIN, self.machine, epoch, buf));
+        }
+        out.emit_barrier(epoch);
+        Ok(())
+    }
 }
 
-/// The aggregation task: online (emit the refreshed group row on every
-/// update — full-history IVM semantics) or final (emit the snapshot at
-/// end-of-stream, the mode batch-style tests and benches use).
+/// The aggregation task: folds every join result into its group and emits
+/// the group rows at end-of-stream.
 pub struct AggBolt {
     agg: GroupByAggregator,
-    online: bool,
 }
 
 impl AggBolt {
-    pub fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>, online: bool) -> AggBolt {
-        AggBolt { agg: GroupByAggregator::new(group_cols, aggs), online }
+    pub fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> AggBolt {
+        AggBolt { agg: GroupByAggregator::new(group_cols, aggs) }
     }
 }
 
 impl Bolt for AggBolt {
-    fn execute(&mut self, _origin: NodeId, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
-        let row = self.agg.update(&tuple)?;
-        if self.online {
-            out.emit(row);
-        }
-        Ok(())
+    fn execute(&mut self, _origin: NodeId, tuple: Tuple, _out: &mut OutputCollector) -> Result<()> {
+        self.agg.update(&tuple).map(drop)
     }
 
     fn execute_chunk(
         &mut self,
         _origin: NodeId,
         chunk: &Chunk,
-        out: &mut OutputCollector,
+        _out: &mut OutputCollector,
     ) -> Result<()> {
-        if self.online {
-            let mut emit = |row: Tuple| out.emit(row);
-            self.agg.update_chunk(chunk, Some(&mut emit))
-        } else {
-            // Final-mode aggregation never looks at the per-update output
-            // rows, so the chunked path skips building them entirely.
-            self.agg.update_chunk(chunk, None)
-        }
+        // The per-update output rows are never looked at, so the chunked
+        // path skips building them entirely.
+        self.agg.update_chunk(chunk, None)
     }
 
     fn finish(&mut self, out: &mut OutputCollector) -> Result<()> {
-        if !self.online {
-            for row in self.agg.snapshot() {
-                out.emit(row);
-            }
+        for row in self.agg.snapshot() {
+            out.emit(row);
         }
         Ok(())
     }
@@ -444,11 +608,8 @@ pub struct WindowedAggBolt {
     aggs: Vec<AggSpec>,
     /// Open windows by start, each with its own group-by state.
     windows: BTreeMap<u64, GroupByAggregator>,
-    /// Latest watermark per upstream task `(node, task)`.
-    frontiers: FxHashMap<(NodeId, usize), u64>,
-    /// Upstream task count; window closing waits until every task has
-    /// promised a frontier (before that no minimum is meaningful).
-    n_upstream: usize,
+    /// Join-task watermarks per upstream task `(node, task)`.
+    frontiers: Frontiers<(NodeId, usize)>,
     /// Every window with `start` below this has been emitted; a data row
     /// for such a window would violate the watermark contract.
     closed_before: u64,
@@ -481,20 +642,10 @@ impl WindowedAggBolt {
             group_cols,
             aggs,
             windows: BTreeMap::new(),
-            frontiers: FxHashMap::default(),
-            n_upstream,
+            frontiers: Frontiers::new(n_upstream),
             closed_before: 0,
             forwarded: 0,
             drain: Vec::new(),
-        }
-    }
-
-    /// Inclusive end of the window starting at `start`.
-    fn window_end(&self, start: u64) -> u64 {
-        match self.spec {
-            WindowSpec::Tumbling { width } => start + width - 1,
-            WindowSpec::Sliding { size } => start + size,
-            WindowSpec::FullHistory => unreachable!("rejected at construction"),
         }
     }
 
@@ -507,7 +658,7 @@ impl WindowedAggBolt {
                 break;
             }
             let (start, agg) = entry.remove_entry();
-            let end = self.window_end(start);
+            let end = self.spec.window_end(start);
             for row in agg.snapshot() {
                 let mut values = Vec::with_capacity(2 + row.arity());
                 values.push(Value::Int(start as i64));
@@ -519,48 +670,40 @@ impl WindowedAggBolt {
         self.closed_before = self.closed_before.max(boundary);
     }
 
+    /// Close every window with `start < boundary` and emit its rows.
+    fn emit_closed(&mut self, boundary: u64, out: &mut OutputCollector) {
+        let mut rows = std::mem::take(&mut self.drain);
+        self.close_into(boundary, &mut rows);
+        for t in rows.drain(..) {
+            out.emit(t);
+        }
+        self.drain = rows;
+    }
+
     /// Open windows (testing / introspection).
     pub fn open_windows(&self) -> usize {
         self.windows.len()
     }
 
-    /// The window-start range a result with constituent-timestamp extrema
-    /// `[lo, hi]` folds into (see the type docs), with the late-data check.
-    fn window_range(&self, lo: u64, hi: u64) -> Result<(u64, u64)> {
-        let (first, last) = match self.spec {
-            WindowSpec::Tumbling { width } => {
-                debug_assert_eq!(lo / width, hi / width, "join window predicate violated");
-                let start = hi / width * width;
-                (start, start)
-            }
-            WindowSpec::Sliding { size } => (hi.saturating_sub(size), lo),
-            WindowSpec::FullHistory => unreachable!("rejected at construction"),
-        };
-        if first < self.closed_before {
+    /// The window starts a result spanning event times `[lo, hi]` folds
+    /// into (see the type docs), with the late-data check.
+    fn starts(&self, lo: u64, hi: u64) -> Result<RangeInclusive<u64>> {
+        let starts = self.spec.window_starts(lo, hi);
+        if *starts.start() < self.closed_before {
             return Err(SquallError::Runtime(format!(
-                "late join result for closed window {first} (closed below {})",
+                "late join result for closed window {} (closed below {})",
+                starts.start(),
                 self.closed_before
             )));
         }
-        Ok((first, last))
+        Ok(starts)
     }
 
     /// Fold one join result row into every window it belongs to (the
     /// per-row insert path).
     pub fn insert_row(&mut self, tuple: &Tuple) -> Result<()> {
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for &c in &self.ts_cols {
-            let v = tuple.get(c).as_int()?;
-            if v < 0 {
-                return Err(SquallError::Runtime(format!(
-                    "negative event-time timestamp {v} in aggregate input"
-                )));
-            }
-            lo = lo.min(v as u64);
-            hi = hi.max(v as u64);
-        }
-        let (first, last) = self.window_range(lo, hi)?;
-        for start in first..=last {
+        let (lo, hi) = time_span(tuple, &self.ts_cols)?;
+        for start in self.starts(lo, hi)? {
             self.windows
                 .entry(start)
                 .or_insert_with(|| {
@@ -589,17 +732,12 @@ impl WindowedAggBolt {
             let col = chunk.column(c);
             let plain = col.as_i64().filter(|a| a.validity().is_none()).map(|a| a.values());
             for i in 0..rows {
-                let v = match plain {
+                let v = event_time(match plain {
                     Some(vals) => vals[i],
                     None => col.value(i).as_int()?,
-                };
-                if v < 0 {
-                    return Err(SquallError::Runtime(format!(
-                        "negative event-time timestamp {v} in aggregate input"
-                    )));
-                }
-                lo[i] = lo[i].min(v as u64);
-                hi[i] = hi[i].max(v as u64);
+                })?;
+                lo[i] = lo[i].min(v);
+                hi[i] = hi[i].max(v);
             }
         }
         // Aggregate inputs, column-at-a-time, once per chunk.
@@ -613,7 +751,7 @@ impl WindowedAggBolt {
         let mut key: Vec<Value> = Vec::with_capacity(self.group_cols.len());
         let mut vals: Vec<Option<Value>> = Vec::with_capacity(self.aggs.len());
         for i in 0..rows {
-            let (first, last) = self.window_range(lo[i], hi[i])?;
+            let starts = self.starts(lo[i], hi[i])?;
             key.clear();
             for &c in &self.group_cols {
                 key.push(chunk.column(c).value(i));
@@ -622,7 +760,7 @@ impl WindowedAggBolt {
             for a in &inputs {
                 vals.push(a.as_ref().map(|arr| arr.value(i)));
             }
-            for start in first..=last {
+            for start in starts {
                 self.windows
                     .entry(start)
                     .or_insert_with(|| {
@@ -656,26 +794,12 @@ impl Bolt for WindowedAggBolt {
         ts: u64,
         out: &mut OutputCollector,
     ) -> Result<()> {
-        let slot = self.frontiers.entry((origin, from_task)).or_insert(0);
-        *slot = (*slot).max(ts);
-        if self.frontiers.len() < self.n_upstream {
-            return Ok(()); // some upstream task has made no promise yet
-        }
-        let w = self.frontiers.values().copied().min().unwrap_or(0);
+        let Some(w) = self.frontiers.advance((origin, from_task), ts) else { return Ok(()) };
         // Any future result carries max-constituent-ts ≥ w, so its
-        // earliest window start is bounded below; everything under that
-        // bound is final.
-        let boundary = match self.spec {
-            WindowSpec::Tumbling { width } => w / width * width,
-            WindowSpec::Sliding { size } => w.saturating_sub(size),
-            WindowSpec::FullHistory => unreachable!("rejected at construction"),
-        };
-        let mut rows = std::mem::take(&mut self.drain);
-        self.close_into(boundary, &mut rows);
-        for t in rows.drain(..) {
-            out.emit(t);
-        }
-        self.drain = rows;
+        // earliest window start is that of a result spanning just `w`;
+        // everything under that bound is final.
+        let boundary = *self.spec.window_starts(w, w).start();
+        self.emit_closed(boundary, out);
         // Forward the shard's window-start frontier so the merge sink can
         // release: the rows above were emitted first (and buffers flush
         // ahead of watermarks), so per-sender FIFO keeps every released
@@ -691,12 +815,7 @@ impl Bolt for WindowedAggBolt {
 
     fn finish(&mut self, out: &mut OutputCollector) -> Result<()> {
         // All inputs done: every remaining window is final.
-        let mut rows = std::mem::take(&mut self.drain);
-        self.close_into(u64::MAX, &mut rows);
-        for t in rows.drain(..) {
-            out.emit(t);
-        }
-        self.drain = rows;
+        self.emit_closed(u64::MAX, out);
         Ok(())
     }
 }
@@ -723,10 +842,8 @@ impl Bolt for WindowedAggBolt {
 pub struct WindowMergeBolt {
     /// Min-heap of buffered rows keyed on `(window_start, row)`.
     heap: BinaryHeap<Reverse<(u64, Tuple)>>,
-    /// Latest window-start boundary per upstream shard `(node, task)`.
-    frontiers: FxHashMap<(NodeId, usize), u64>,
-    /// Shard count; releasing waits until every shard has promised.
-    n_upstream: usize,
+    /// Window-start boundaries per upstream shard `(node, task)`.
+    frontiers: Frontiers<(NodeId, usize)>,
     /// Every row below this window start has been released; a later
     /// arrival below it would violate the shard's boundary promise.
     released_below: u64,
@@ -740,8 +857,7 @@ impl WindowMergeBolt {
         assert!(n_upstream > 0);
         WindowMergeBolt {
             heap: BinaryHeap::new(),
-            frontiers: FxHashMap::default(),
-            n_upstream,
+            frontiers: Frontiers::new(n_upstream),
             released_below: 0,
             drain: Vec::new(),
         }
@@ -779,6 +895,16 @@ impl WindowMergeBolt {
         self.released_below = self.released_below.max(boundary);
     }
 
+    /// Release every buffered row below `boundary` and emit it.
+    fn emit_released(&mut self, boundary: u64, out: &mut OutputCollector) {
+        let mut rows = std::mem::take(&mut self.drain);
+        self.release_below(boundary, &mut rows);
+        for t in rows.drain(..) {
+            out.emit(t);
+        }
+        self.drain = rows;
+    }
+
     /// Buffered (not yet released) rows — testing / introspection.
     pub fn pending(&self) -> usize {
         self.heap.len()
@@ -797,29 +923,14 @@ impl Bolt for WindowMergeBolt {
         ts: u64,
         out: &mut OutputCollector,
     ) -> Result<()> {
-        let slot = self.frontiers.entry((origin, from_task)).or_insert(0);
-        *slot = (*slot).max(ts);
-        if self.frontiers.len() < self.n_upstream {
-            return Ok(()); // some shard has made no promise yet
-        }
-        let boundary = self.frontiers.values().copied().min().unwrap_or(0);
-        let mut rows = std::mem::take(&mut self.drain);
-        self.release_below(boundary, &mut rows);
-        for t in rows.drain(..) {
-            out.emit(t);
-        }
-        self.drain = rows;
+        let Some(boundary) = self.frontiers.advance((origin, from_task), ts) else { return Ok(()) };
+        self.emit_released(boundary, out);
         Ok(())
     }
 
     fn finish(&mut self, out: &mut OutputCollector) -> Result<()> {
         // Every shard has flushed and punctuated: drain the heap.
-        let mut rows = std::mem::take(&mut self.drain);
-        self.release_below(u64::MAX, &mut rows);
-        for t in rows.drain(..) {
-            out.emit(t);
-        }
-        self.drain = rows;
+        self.emit_released(u64::MAX, out);
         Ok(())
     }
 }

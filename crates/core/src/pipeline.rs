@@ -139,6 +139,7 @@ pub fn run_pipeline(
         let next_src = source_nodes[next];
         let spec_for_bolt = Arc::clone(&stage_spec_arc);
         let local_kind = local;
+        let arities = [prefix_schema.arity(), next_schema.arity()];
         let node = b.add_bolt(
             format!("join-{}", spec.relations[next].name),
             machines_per_stage,
@@ -150,7 +151,7 @@ pub fn run_pipeline(
                 let mut map = FxHashMap::default();
                 map.insert(prev, 0usize);
                 map.insert(next_src, 1usize);
-                Box::new(JoinBolt::new(task, map, join, 2, emit))
+                Box::new(JoinBolt::new(task, map, join, &arities, emit))
             },
         );
         match one_bucket {

@@ -9,12 +9,12 @@
 //! ## The delta plane
 //!
 //! Every tuple in a standing topology carries two trailing Int columns,
-//! `[cols…, multiplicity, epoch]`:
+//! `[cols…, weight, epoch]`:
 //!
-//! * **multiplicity** — Z-set-style signed weight (+1 insert, −1
+//! * **weight** — Z-set-style signed multiplicity (+1 insert, −1
 //!   retract, |m|>1 for collapsed duplicates). The join applies it with
-//!   [`DBToasterJoin::delta`], whose output weights are the exact signed
-//!   change of the join result multiset.
+//!   [`squall_join::LocalJoin::signed_delta`], whose output weights are the
+//!   exact signed change of the join result multiset.
 //! * **epoch** — which `append()`/`retract()` round produced the delta.
 //!   The initial load is epoch 1; every later round bumps the counter,
 //!   pushes its deltas to the owning relations' queues and an epoch
@@ -22,22 +22,26 @@
 //!
 //! Trailing columns are invisible to routing: the partitioning scheme's
 //! groupings only read join-key columns, which sit below the original
-//! arity. Join tasks strip the bookkeeping columns, apply the signed
-//! delta, and re-emit each result as `[result…, weight, epoch]`.
+//! arity. [`crate::driver`] assembles the topology as for any query:
+//! only the live-queue sources and the sink ([`ViewSinkBolt`]) are
+//! view-specific.
 //!
 //! ## Quiesce / snapshot protocol
 //!
-//! Epoch watermarks flow spout → join → sink. A join task forwards the
-//! *minimum* epoch across its source frontiers, so when the sink's
-//! minimum over all join tasks reaches `n`, every delta of every epoch
-//! ≤ `n` has arrived (per-sender FIFO ordering; results are flushed
-//! before their watermark). The sink buffers deltas per epoch and
-//! applies whole epochs in order — robust to cross-task skew, since a
-//! fast task's epoch-`n+1` deltas never contaminate epoch `n`. Applying
-//! an epoch nets the changes into the shared row multiset, publishes a
-//! [`ChangeBatch`] to subscribers and advances the applied-epoch
-//! counter; `snapshot()` blocks until the applied epoch catches up with
-//! the last issued one — read-your-writes for every acked append.
+//! Epoch watermarks flow spout → join → sink. A join task applies a
+//! delta only once the slowest source's watermark is at least its epoch
+//! − 1, so every result carries the epoch of its newest input; it forwards
+//! the *minimum* epoch across its source frontiers once everything at or
+//! below it is emitted. When the sink's minimum over all join tasks
+//! reaches `n`, every delta of every epoch ≤ `n` has arrived (per-sender
+//! FIFO ordering; results are flushed before their watermark). The sink
+//! buffers deltas per epoch and applies whole epochs in order — robust to
+//! cross-task skew, since a fast task's epoch-`n+1` deltas never
+//! contaminate epoch `n`. Applying an epoch nets the changes into the
+//! shared row multiset, publishes a [`ChangeBatch`] to subscribers and
+//! advances the applied-epoch counter; `snapshot()` blocks until the
+//! applied epoch catches up with the last issued one — read-your-writes
+//! for every acked append.
 //!
 //! `DROP MATERIALIZED VIEW` closes the queues; the spouts report Eos on
 //! their next poll and the ordinary flush/punctuate shutdown cascade
@@ -50,23 +54,21 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use squall_common::codec::{self, Reader};
-use squall_common::{FxHashMap, FxHashSet, Result, SquallError, Tuple, Value};
-use squall_expr::{AggFunc, MultiJoinSpec, ScalarExpr};
-use squall_join::{
-    AggSpec, DBToasterJoin, GroupByAggregator, LocalJoin, Snapshot, WindowJoin, WindowSpec,
-};
+use squall_common::{Chunk, FxHashMap, FxHashSet, Result, SquallError, Tuple, Value};
+use squall_expr::{MultiJoinSpec, ScalarExpr};
+use squall_join::{time_span, AggSpec, GroupByAggregator, Snapshot, WindowSpec};
 use squall_partition::optimizer::build_scheme;
 use squall_runtime::{
-    Bolt, ClusterRun, Grouping, LiveItem, LiveQueue, LiveSpout, NodeId, OutputCollector, RunHandle,
-    TaskWaker, Topology, TopologyBuilder,
+    Bolt, ClusterRun, LiveItem, LiveQueue, NodeId, OutputCollector, RunHandle, TaskWaker,
 };
 
-use crate::checkpoint::{
-    CheckpointStore, RestoreState, SnapshotBlobMsg, JOIN_BLOB_FULL, JOIN_BLOB_WINDOWED, ROLE_JOIN,
-    ROLE_SINK,
+use crate::checkpoint::{CheckpointStore, RestoreState, SnapshotBlobMsg, ROLE_SINK};
+use crate::cluster::ClusterSpec;
+use crate::driver::{
+    assemble, finish_run, launch, summarize, tag_delta, Assembled, JoinReport, MaintenanceStats,
+    MultiwayConfig, Resident, RunContext,
 };
-use crate::cluster::{boot_coordinator, ClusterSpec};
-use crate::driver::{JoinReport, MaintenanceStats, MultiwayConfig};
+use crate::operators::{delta_columns, Frontiers};
 
 /// How long a synchronous checkpoint round waits for all blobs before
 /// proceeding with a partial checkpoint (recovery then falls back to the
@@ -181,11 +183,6 @@ impl ViewShared {
         self.state.lock().expect("view state poisoned")
     }
 
-    /// Highest fully applied epoch (0 before the initial load lands).
-    pub fn applied_epoch(&self) -> u64 {
-        self.lock().applied
-    }
-
     /// Subscribe to the view's change stream: one [`ChangeBatch`] per
     /// epoch that actually changed rows, in epoch order.
     pub fn subscribe(&self) -> Receiver<ChangeBatch> {
@@ -288,177 +285,6 @@ impl ViewShared {
 }
 
 // ---------------------------------------------------------------------
-// The delta join bolt
-// ---------------------------------------------------------------------
-
-enum StandingJoin {
-    /// Full-history: DBToaster's delta processing with signed weights.
-    Full(DBToasterJoin),
-    /// Windowed event-time join; insertions only (windowed standing
-    /// views are append-only).
-    Windowed { join: WindowJoin<DBToasterJoin>, ts_cols: Vec<usize> },
-}
-
-/// One join task of a resident topology: strips the trailing
-/// `[multiplicity, epoch]` columns, applies the signed delta to its
-/// local join state, re-emits each result with the triggering epoch, and
-/// forwards the minimum source-epoch watermark downstream.
-pub struct ViewJoinBolt {
-    origin_to_rel: FxHashMap<NodeId, usize>,
-    join: StandingJoin,
-    /// Latest epoch watermark per source spout node.
-    frontiers: FxHashMap<NodeId, u64>,
-    n_sources: usize,
-    /// Last minimum forwarded to the sink.
-    forwarded: u64,
-    machine: usize,
-    budget: Option<usize>,
-    wbuf: Vec<(Tuple, i64)>,
-    /// Checkpoint blob channel (local on the coordinator; forwarded as
-    /// `SnapshotBlob` frames by the worker). `None` = checkpoints off.
-    blob_tx: Option<Sender<SnapshotBlobMsg>>,
-}
-
-impl ViewJoinBolt {
-    fn new(
-        machine: usize,
-        origin_to_rel: FxHashMap<NodeId, usize>,
-        join: StandingJoin,
-        n_sources: usize,
-        budget: Option<usize>,
-        blob_tx: Option<Sender<SnapshotBlobMsg>>,
-    ) -> ViewJoinBolt {
-        ViewJoinBolt {
-            origin_to_rel,
-            join,
-            frontiers: FxHashMap::default(),
-            n_sources,
-            forwarded: 0,
-            machine,
-            budget,
-            wbuf: Vec::new(),
-            blob_tx,
-        }
-    }
-
-    /// Rebuild join state from a checkpoint blob (tag byte + the wrapped
-    /// operator's [`Snapshot`] bytes).
-    fn restore(&mut self, blob: &[u8]) -> Result<()> {
-        let mut r = Reader::new(blob);
-        let tag = r.u8()?;
-        match (&mut self.join, tag) {
-            (StandingJoin::Full(j), JOIN_BLOB_FULL) => j.restore_state(&mut r)?,
-            (StandingJoin::Windowed { join, .. }, JOIN_BLOB_WINDOWED) => {
-                join.restore_state(&mut r)?
-            }
-            _ => return Err(SquallError::Codec("join checkpoint blob tag mismatch".into())),
-        }
-        r.finish()
-    }
-}
-
-/// Split a delta-plane tuple into `(payload, multiplicity, epoch)`.
-fn split_delta(tuple: &Tuple) -> Result<(Tuple, i64, i64)> {
-    let n = tuple.arity();
-    if n < 2 {
-        return Err(SquallError::Runtime(format!(
-            "delta-plane tuple too narrow ({n} columns; needs payload + mult + epoch)"
-        )));
-    }
-    let mult = tuple.get(n - 2).as_int()?;
-    let epoch = tuple.get(n - 1).as_int()?;
-    Ok((Tuple::new(tuple.values()[..n - 2].to_vec()), mult, epoch))
-}
-
-impl Bolt for ViewJoinBolt {
-    fn execute(&mut self, origin: NodeId, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
-        let rel = *self
-            .origin_to_rel
-            .get(&origin)
-            .ok_or_else(|| SquallError::Runtime(format!("unknown origin node {origin}")))?;
-        let (base, mult, epoch) = split_delta(&tuple)?;
-        self.wbuf.clear();
-        match &mut self.join {
-            StandingJoin::Full(j) => j.delta(rel, &base, mult, &mut self.wbuf),
-            StandingJoin::Windowed { join, ts_cols } => {
-                if mult != 1 {
-                    return Err(SquallError::Runtime(format!(
-                        "windowed standing views are append-only (got a weight-{mult} delta)"
-                    )));
-                }
-                let ts = base.get(ts_cols[rel]).as_int()?;
-                if ts < 0 {
-                    return Err(SquallError::Runtime(format!(
-                        "negative event-time timestamp {ts} on a windowed standing view"
-                    )));
-                }
-                join.insert_weighted(rel, ts as u64, &base, &mut self.wbuf);
-            }
-        }
-        for (t, m) in self.wbuf.drain(..) {
-            let mut v = t.values().to_vec();
-            v.push(Value::Int(m));
-            v.push(Value::Int(epoch));
-            out.emit(Tuple::new(v));
-        }
-        if let Some(budget) = self.budget {
-            let stored = match &self.join {
-                StandingJoin::Full(j) => j.stored(),
-                StandingJoin::Windowed { join, .. } => join.inner().stored(),
-            };
-            if stored > budget {
-                return Err(SquallError::MemoryOverflow { machine: self.machine, stored, budget });
-            }
-        }
-        Ok(())
-    }
-
-    fn watermark(
-        &mut self,
-        origin: NodeId,
-        _from_task: usize,
-        ts: u64,
-        out: &mut OutputCollector,
-    ) -> Result<()> {
-        let slot = self.frontiers.entry(origin).or_insert(0);
-        *slot = (*slot).max(ts);
-        if self.frontiers.len() < self.n_sources {
-            return Ok(());
-        }
-        let w = self.frontiers.values().copied().min().unwrap_or(0);
-        if w > self.forwarded {
-            self.forwarded = w;
-            out.emit_watermark(w);
-        }
-        Ok(())
-    }
-
-    /// Barrier alignment: snapshot this task's join state, ship the blob
-    /// toward the coordinator's checkpoint store, and forward the barrier
-    /// downstream. Alignment guarantees the state covers exactly the
-    /// epochs up to the barrier's (no later input exists during a
-    /// synchronous checkpoint round).
-    fn barrier(&mut self, epoch: u64, out: &mut OutputCollector) -> Result<()> {
-        if let Some(tx) = &self.blob_tx {
-            let mut buf = Vec::new();
-            match &self.join {
-                StandingJoin::Full(j) => {
-                    buf.push(JOIN_BLOB_FULL);
-                    j.snapshot_state(&mut buf);
-                }
-                StandingJoin::Windowed { join, .. } => {
-                    buf.push(JOIN_BLOB_WINDOWED);
-                    join.snapshot_state(&mut buf);
-                }
-            }
-            let _ = tx.send((ROLE_JOIN, self.machine, epoch, buf));
-        }
-        out.emit_barrier(epoch);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
 // The view sink bolt
 // ---------------------------------------------------------------------
 
@@ -486,16 +312,15 @@ pub struct ViewSinkBolt {
     shared: Arc<ViewShared>,
     /// Deltas awaiting their epoch's release, in epoch order.
     pending: BTreeMap<u64, Vec<(Tuple, i64)>>,
-    /// Latest watermark per upstream join task.
-    frontiers: FxHashMap<(NodeId, usize), u64>,
-    n_upstream: usize,
+    /// Epoch watermarks per upstream join task.
+    frontiers: Frontiers<(NodeId, usize)>,
     applied: u64,
     state: SinkState,
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
 }
 
 impl ViewSinkBolt {
-    fn new(
+    pub(crate) fn new(
         plan: Arc<ViewPlan>,
         shared: Arc<ViewShared>,
         n_upstream: usize,
@@ -514,8 +339,7 @@ impl ViewSinkBolt {
             plan,
             shared,
             pending: BTreeMap::new(),
-            frontiers: FxHashMap::default(),
-            n_upstream,
+            frontiers: Frontiers::new(n_upstream),
             applied: 0,
             state,
             blob_tx,
@@ -526,7 +350,7 @@ impl ViewSinkBolt {
     /// checkpoint's epoch: replayed epochs at or below it are rejected by
     /// the late-delta gate, and re-derived epochs above it are recomputed
     /// deterministically (then deduplicated in [`ViewShared::publish`]).
-    fn restore(&mut self, epoch: u64, blob: &[u8]) -> Result<()> {
+    pub(crate) fn restore(&mut self, epoch: u64, blob: &[u8]) -> Result<()> {
         let mut r = Reader::new(blob);
         let kind = r.u8()?;
         match (&mut self.state, kind) {
@@ -564,41 +388,7 @@ impl ViewSinkBolt {
                 return Ok(None);
             }
         }
-        let mut values = Vec::with_capacity(plan.finalize.len());
-        for e in &plan.finalize {
-            values.push(e.eval(raw)?);
-        }
-        Ok(Some(Tuple::new(values)))
-    }
-
-    /// The windows a join result belongs to, as `(start, end)` pairs
-    /// (mirrors the per-window aggregation bolt).
-    fn windows_of(w: &ViewWindow, row: &Tuple) -> Result<Vec<(u64, u64)>> {
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for &c in &w.ts_cols {
-            let v = row.get(c).as_int()?;
-            if v < 0 {
-                return Err(SquallError::Runtime(format!(
-                    "negative event-time timestamp {v} in view sink input"
-                )));
-            }
-            lo = lo.min(v as u64);
-            hi = hi.max(v as u64);
-        }
-        Ok(match w.spec {
-            WindowSpec::Tumbling { width } => {
-                let start = hi / width * width;
-                vec![(start, start + width - 1)]
-            }
-            WindowSpec::Sliding { size } => {
-                (hi.saturating_sub(size)..=lo).map(|s| (s, s + size)).collect()
-            }
-            WindowSpec::FullHistory => {
-                return Err(SquallError::Runtime(
-                    "full-history window on a windowed view sink".into(),
-                ))
-            }
-        })
+        plan.finalize.iter().map(|e| e.eval(raw)).collect::<Result<Tuple>>().map(Some)
     }
 
     /// Apply one epoch's deltas, returning the net row changes.
@@ -608,11 +398,9 @@ impl ViewSinkBolt {
         match &mut self.state {
             SinkState::Plain => {
                 for (base, m) in &deltas {
-                    let mut values = Vec::with_capacity(plan.finalize.len());
-                    for e in &plan.finalize {
-                        values.push(e.eval(base)?);
-                    }
-                    *net.entry(Tuple::new(values)).or_insert(0) += m;
+                    let row =
+                        plan.finalize.iter().map(|e| e.eval(base)).collect::<Result<Tuple>>()?;
+                    *net.entry(row).or_insert(0) += m;
                 }
             }
             SinkState::Agg { agg, published, primed } => {
@@ -626,16 +414,19 @@ impl ViewSinkBolt {
                 for (base, m) in &deltas {
                     let inputs: Vec<Tuple> = match &plan.windowed {
                         None => vec![base.clone()],
-                        Some(w) => Self::windows_of(w, base)?
-                            .into_iter()
-                            .map(|(s, e)| {
-                                let mut v = Vec::with_capacity(base.arity() + 2);
-                                v.push(Value::Int(s as i64));
-                                v.push(Value::Int(e as i64));
-                                v.extend(base.values().iter().cloned());
-                                Tuple::new(v)
-                            })
-                            .collect(),
+                        Some(w) => {
+                            let (lo, hi) = time_span(base, &w.ts_cols)?;
+                            w.spec
+                                .window_starts(lo, hi)
+                                .map(|s| {
+                                    let mut v = Vec::with_capacity(base.arity() + 2);
+                                    v.push(Value::Int(s as i64));
+                                    v.push(Value::Int(w.spec.window_end(s) as i64));
+                                    v.extend(base.values().iter().cloned());
+                                    Tuple::new(v)
+                                })
+                                .collect()
+                        }
                     };
                     for input in &inputs {
                         touched.insert(input.key(&plan.group_cols));
@@ -651,25 +442,15 @@ impl ViewSinkBolt {
                     }
                 }
                 for key in touched {
-                    let (new, synthetic) = match agg.group(&key) {
-                        Some(raw) => (Self::finalize_agg_row(&plan, &raw, false)?, false),
+                    let new = match agg.group(&key) {
+                        Some(raw) => Self::finalize_agg_row(&plan, &raw, false)?,
+                        // A global aggregate with no rows still shows one
+                        // row: COUNT = 0, NULL sums/averages.
                         None if plan.emit_empty_agg && key.is_empty() => {
-                            // A global aggregate with no rows still shows
-                            // one row: COUNT = 0, NULL sums/averages.
-                            let raw = Tuple::new(
-                                plan.aggs
-                                    .iter()
-                                    .map(|a| match a.func {
-                                        AggFunc::Count => Value::Int(0),
-                                        _ => Value::Null,
-                                    })
-                                    .collect(),
-                            );
-                            (Self::finalize_agg_row(&plan, &raw, true)?, true)
+                            Self::finalize_agg_row(&plan, &AggSpec::empty_row(&plan.aggs), true)?
                         }
-                        None => (None, false),
+                        None => None,
                     };
-                    let _ = synthetic;
                     let old = published.get(&key).cloned();
                     if old == new {
                         continue;
@@ -719,17 +500,35 @@ impl ViewSinkBolt {
 }
 
 impl Bolt for ViewSinkBolt {
-    fn execute(&mut self, _origin: NodeId, tuple: Tuple, _out: &mut OutputCollector) -> Result<()> {
-        let (base, mult, epoch) = split_delta(&tuple)?;
-        let epoch = epoch as u64;
-        if epoch <= self.applied {
-            return Err(SquallError::Runtime(format!(
-                "late delta for already-applied epoch {epoch} (applied {})",
-                self.applied
-            )));
+    fn execute(&mut self, origin: NodeId, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
+        self.execute_chunk(origin, &Chunk::from_tuples(std::slice::from_ref(&tuple)), out)
+    }
+
+    /// Buffer a chunk of `[result…, weight, epoch]` deltas under their
+    /// epochs.
+    fn execute_chunk(
+        &mut self,
+        _origin: NodeId,
+        chunk: &Chunk,
+        _out: &mut OutputCollector,
+    ) -> Result<()> {
+        if chunk.is_empty() {
+            return Ok(());
         }
-        self.shared.counters.deltas_in.fetch_add(1, Ordering::Relaxed);
-        self.pending.entry(epoch).or_default().push((base, mult));
+        let arity = chunk.n_cols().saturating_sub(2);
+        let (weights, epochs) = delta_columns(chunk, arity)?;
+        for i in 0..chunk.n_rows() {
+            let epoch = u64::try_from(epochs[i]).unwrap_or(0);
+            if epoch <= self.applied {
+                return Err(SquallError::Runtime(format!(
+                    "late delta for already-applied epoch {} (applied {})",
+                    epochs[i], self.applied
+                )));
+            }
+            let base: Tuple = chunk.columns()[..arity].iter().map(|c| c.value(i)).collect();
+            self.pending.entry(epoch).or_default().push((base, weights[i]));
+        }
+        self.shared.counters.deltas_in.fetch_add(chunk.n_rows() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -740,13 +539,10 @@ impl Bolt for ViewSinkBolt {
         ts: u64,
         _out: &mut OutputCollector,
     ) -> Result<()> {
-        let slot = self.frontiers.entry((origin, from_task)).or_insert(0);
-        *slot = (*slot).max(ts);
-        if self.frontiers.len() < self.n_upstream {
-            return Ok(());
+        match self.frontiers.advance((origin, from_task), ts) {
+            Some(w) => self.apply_through(w),
+            None => Ok(()),
         }
-        let w = self.frontiers.values().copied().min().unwrap_or(0);
-        self.apply_through(w)
     }
 
     fn finish(&mut self, _out: &mut OutputCollector) -> Result<()> {
@@ -791,172 +587,82 @@ impl Bolt for ViewSinkBolt {
 }
 
 // ---------------------------------------------------------------------
-// Assembly & launch
+// Launch
 // ---------------------------------------------------------------------
 
-/// Append the `[multiplicity, epoch]` bookkeeping columns to a payload
-/// row.
-fn tag_delta(row: &Tuple, mult: i64, epoch: u64) -> Tuple {
-    let mut v = row.values().to_vec();
-    v.push(Value::Int(mult));
-    v.push(Value::Int(epoch as i64));
-    Tuple::new(v)
+/// One launched view topology: its live sources, run handles and report
+/// context.
+struct Run {
+    queues: Vec<Arc<LiveQueue>>,
+    waker: TaskWaker,
+    /// `None` only transiently, inside [`StandingHandle::recover`].
+    handle: Option<RunHandle>,
+    cluster: Option<ClusterRun>,
+    ctx: RunContext,
+    blob_rx: Option<Receiver<SnapshotBlobMsg>>,
 }
 
-/// Build the resident topology for one standing view: live-queue spouts
-/// (preloaded with the initial data as epoch-1 deltas), the delta join,
-/// and the single view sink. `coordinator` carries the view plan and
-/// shared state on the coordinator; workers pass `None` — their spout
-/// and sink factories are never invoked (spouts and parallelism-1 bolts
-/// are pinned to peer 0 by `plan_placement`).
-///
-/// `restore` rebuilds every operator from a checkpoint instead of
-/// starting empty (the epoch-1 preload is then suppressed — recovery
-/// replays buffered rounds with their original epochs). `blob_tx` is
-/// where operators ship their checkpoint blobs at barrier alignment.
-pub fn assemble_standing(
+impl Run {
+    /// Queue one epoch's rounds, then its watermark on every source.
+    fn push_epoch(&self, epoch: u64, rounds: &[DeltaRound]) {
+        for (rel, rows, mult) in rounds {
+            for row in rows {
+                self.queues[*rel].push(LiveItem::Delta(tag_delta(row, *mult, epoch)));
+            }
+        }
+        self.push_all(LiveItem::Watermark(epoch));
+    }
+
+    /// Push `item` to every source queue and wake the (parked) spouts.
+    fn push_all(&self, item: LiveItem) {
+        for q in &self.queues {
+            q.push(item.clone());
+        }
+        self.wake();
+    }
+
+    /// Close every source queue: the spouts drain them and start the Eos
+    /// cascade.
+    fn close(&self) {
+        for q in &self.queues {
+            q.close();
+        }
+        self.wake();
+    }
+
+    /// Spouts are the first nodes added: their task ids are `0..n`.
+    fn wake(&self) {
+        for t in 0..self.queues.len() {
+            self.waker.wake(t);
+        }
+    }
+}
+
+/// Assemble a view's topology over `data` — or over nothing, restored
+/// from `restore` — and launch it. `readmit` marks a recovery relaunch.
+fn start(
     spec: &MultiJoinSpec,
-    data: Vec<Vec<Tuple>>,
     cfg: &MultiwayConfig,
-    coordinator: Option<(Arc<ViewPlan>, Arc<ViewShared>)>,
+    view: (Arc<ViewPlan>, Arc<ViewShared>),
+    data: Vec<Vec<Tuple>>,
     restore: Option<Arc<RestoreState>>,
-    blob_tx: Option<Sender<SnapshotBlobMsg>>,
-) -> Result<(Topology, Vec<Arc<LiveQueue>>, StandingLayout)> {
-    if data.len() != spec.n_relations() {
-        return Err(SquallError::InvalidPlan(format!(
-            "{} relations but {} data streams",
-            spec.n_relations(),
-            data.len()
-        )));
-    }
-    if let Some(w) = &cfg.window {
-        if matches!(w.spec, WindowSpec::FullHistory) {
-            return Err(SquallError::InvalidPlan(
-                "a window plan must be tumbling or sliding (FullHistory = no window)".into(),
-            ));
-        }
-        if w.ts_cols.len() != spec.n_relations() {
-            return Err(SquallError::InvalidPlan(format!(
-                "window plan names {} ts columns for {} relations",
-                w.ts_cols.len(),
-                spec.n_relations()
-            )));
-        }
-    }
-    let mut b = TopologyBuilder::new().batch_size(cfg.batch_size.max(1));
-    if let Some(workers) = cfg.worker_threads {
-        b = b.worker_threads(workers);
-    }
-
-    // One live queue + one spout task per relation, preloaded with the
-    // initial load as epoch-1 deltas and the epoch-1 watermark.
-    let mut queues = Vec::with_capacity(spec.n_relations());
-    let mut source_nodes = Vec::with_capacity(spec.n_relations());
-    for (rel, tuples) in data.into_iter().enumerate() {
-        let queue = Arc::new(LiveQueue::new());
-        if restore.is_none() {
-            for t in &tuples {
-                queue.push(LiveItem::Delta(tag_delta(t, 1, 1)));
-            }
-            queue.push(LiveItem::Watermark(1));
-        }
-        let q = Arc::clone(&queue);
-        let node = b.add_spout(format!("src-{}", spec.relations[rel].name), 1, move |_task| {
-            Box::new(LiveSpout::new(Arc::clone(&q)))
-        });
-        queues.push(queue);
-        source_nodes.push(node);
-    }
-
-    // The delta join. A single relation needs no partitioning scheme:
-    // DBToaster's n=1 delta emission is the identity, so one task with a
-    // global grouping suffices.
-    let n_rel = spec.n_relations();
-    let machines = if n_rel == 1 { 1 } else { cfg.machines.max(1) };
-    let origin_map: FxHashMap<usize, usize> =
-        source_nodes.iter().enumerate().map(|(rel, &node)| (node, rel)).collect();
-    let origin_map = Arc::new(origin_map);
-    let spec_arc = Arc::new(spec.clone());
-    let window = cfg.window.clone();
-    let budget = cfg.budget;
-    let (scheme, scheme_description) = if n_rel == 1 {
-        (None, "single-relation identity".to_string())
-    } else {
-        let s = Arc::new(build_scheme(cfg.scheme, spec, machines, cfg.seed)?);
-        let d = s.describe();
-        (Some(s), d)
-    };
-    let join_restore = restore.clone();
-    let join_blob_tx = blob_tx.clone();
-    let join_node = b.add_bolt("join", machines, move |task| {
-        let origin_to_rel: FxHashMap<usize, usize> =
-            origin_map.iter().map(|(&k, &v)| (k, v)).collect();
-        let inner = DBToasterJoin::new(&spec_arc);
-        let join = match &window {
-            Some(w) => {
-                let arities: Vec<usize> =
-                    spec_arc.relations.iter().map(|r| r.schema.arity()).collect();
-                StandingJoin::Windowed {
-                    join: WindowJoin::event_time(inner, w.spec, &arities, &w.ts_cols),
-                    ts_cols: w.ts_cols.clone(),
-                }
-            }
-            None => StandingJoin::Full(inner),
-        };
-        let mut bolt =
-            ViewJoinBolt::new(task, origin_to_rel, join, n_rel, budget, join_blob_tx.clone());
-        if let Some(rs) = &join_restore {
-            if let Some(blob) = rs.join.get(&task) {
-                // Blobs are self-produced (and byte-checked by recovery):
-                // failing to parse one is a bug, not an input error.
-                bolt.restore(blob).expect("restore self-produced join checkpoint blob");
-            }
-        }
-        Box::new(bolt)
-    });
-    for (rel, &src) in source_nodes.iter().enumerate() {
-        let grouping = match &scheme {
-            Some(s) => Grouping::Custom(Arc::new(s.grouping_for(rel))),
-            None => Grouping::Global,
-        };
-        b.connect(src, join_node, grouping);
-    }
-
-    // The view sink: one task, pinned to the coordinator.
-    let sink_restore = restore;
-    let sink_node = b.add_bolt("view", 1, move |_task| match &coordinator {
-        Some((plan, shared)) => {
-            let mut bolt =
-                ViewSinkBolt::new(Arc::clone(plan), Arc::clone(shared), machines, blob_tx.clone());
-            if let Some(rs) = &sink_restore {
-                if let Some(blob) = &rs.sink {
-                    bolt.restore(rs.epoch, blob)
-                        .expect("restore self-produced sink checkpoint blob");
-                }
-            }
-            Box::new(bolt)
-        }
-        None => unreachable!(
-            "view sink runs at parallelism 1, which plan_placement pins to the coordinator"
-        ),
-    });
-    b.connect(join_node, sink_node, Grouping::Global);
-
-    Ok((
-        b.build()?,
+    readmit: Option<u64>,
+) -> Result<Run> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let blob_tx = (cfg.checkpoint_interval > 0).then_some(tx);
+    let resident =
+        Resident { view: Some(view), restore: restore.clone(), blob_tx: blob_tx.clone() };
+    let Assembled { topology, ctx, queues } = assemble(spec, data, cfg, &resident)?;
+    let (handle, cluster) =
+        launch(topology, spec, cfg, blob_tx.clone(), restore.as_deref(), readmit)?;
+    Ok(Run {
         queues,
-        StandingLayout { source_nodes, join_node, join_tasks: machines, scheme_description },
-    ))
-}
-
-/// Node ids (and the chosen scheme) of an assembled standing topology —
-/// what the shutdown report is computed over.
-pub struct StandingLayout {
-    pub source_nodes: Vec<NodeId>,
-    pub join_node: NodeId,
-    /// Join-task (machine) count — how many join blobs a checkpoint needs.
-    pub join_tasks: usize,
-    pub scheme_description: String,
+        waker: handle.waker(),
+        handle: Some(handle),
+        cluster,
+        ctx,
+        blob_rx: blob_tx.is_some().then_some(rx),
+    })
 }
 
 /// Launch a resident topology for one standing view, locally or across
@@ -971,53 +677,21 @@ pub fn launch_standing(
     shared: Arc<ViewShared>,
 ) -> Result<StandingHandle> {
     debug_assert!(cfg.standing, "launch_standing needs cfg.standing");
-    let input_count: u64 = data.iter().map(|d| d.len() as u64).sum();
     let plan = Arc::new(plan);
     // Recovery replays the initial load from scratch when no checkpoint
     // completed yet, so clustered runs keep a copy.
     let initial_data = if cfg.cluster.is_some() { data.clone() } else { Vec::new() };
-    let (blob_tx, blob_rx) = std::sync::mpsc::channel();
-    let blob_tx = (cfg.checkpoint_interval > 0).then_some(blob_tx);
-    let (topology, queues, layout) = assemble_standing(
-        spec,
-        data,
-        cfg,
-        Some((Arc::clone(&plan), Arc::clone(&shared))),
-        None,
-        blob_tx.clone(),
-    )?;
-    let (handle, cluster) = match &cfg.cluster {
-        None => (topology.launch(), None),
-        Some(cluster_spec) => {
-            let (placement, mut links) =
-                boot_coordinator(topology.layout(), spec, cfg, cluster_spec, None, None)?;
-            links.blob_tx = blob_tx.clone();
-            if cfg.heartbeat_timeout_ms > 0 {
-                links.heartbeat = Some(Duration::from_millis(cfg.heartbeat_timeout_ms));
-            }
-            let (handle, run) = topology.launch_cluster(placement, links);
-            (handle, Some(run))
-        }
-    };
-    let waker = handle.waker();
-    let store = CheckpointStore::new(layout.join_tasks);
+    let run = start(spec, cfg, (Arc::clone(&plan), Arc::clone(&shared)), data, None, None)?;
     Ok(StandingHandle {
-        queues,
+        store: CheckpointStore::new(run.ctx.join_tasks),
+        run,
         shared,
-        waker,
-        handle: Some(handle),
-        cluster,
-        layout,
-        input_count,
         issued: 1,
-        start: Instant::now(),
         spec: spec.clone(),
         cfg: cfg.clone(),
         plan,
         initial_data,
         replay: Vec::new(),
-        store,
-        blob_rx: blob_tx.is_some().then_some(blob_rx),
     })
 }
 
@@ -1028,17 +702,10 @@ pub type DeltaRound = (usize, Vec<Tuple>, i64);
 
 /// The coordinator-side handle of one resident view topology.
 pub struct StandingHandle {
-    queues: Vec<Arc<LiveQueue>>,
+    run: Run,
     shared: Arc<ViewShared>,
-    waker: TaskWaker,
-    /// `None` only transiently, inside [`StandingHandle::recover`].
-    handle: Option<RunHandle>,
-    cluster: Option<ClusterRun>,
-    layout: StandingLayout,
-    input_count: u64,
     /// Latest issued epoch (initial load = 1).
     issued: u64,
-    start: Instant,
     /// What recovery needs to re-assemble the topology.
     spec: MultiJoinSpec,
     cfg: MultiwayConfig,
@@ -1050,15 +717,9 @@ pub struct StandingHandle {
     /// epochs — the replay log of recovery.
     replay: Vec<(u64, Vec<DeltaRound>)>,
     store: CheckpointStore,
-    blob_rx: Option<Receiver<SnapshotBlobMsg>>,
 }
 
 impl StandingHandle {
-    /// The view's shared state (snapshots, subscriptions, counters).
-    pub fn shared(&self) -> &Arc<ViewShared> {
-        &self.shared
-    }
-
     /// Latest issued epoch.
     pub fn issued_epoch(&self) -> u64 {
         self.issued
@@ -1066,12 +727,12 @@ impl StandingHandle {
 
     /// Number of source relations.
     pub fn n_relations(&self) -> usize {
-        self.queues.len()
+        self.run.queues.len()
     }
 
     /// The partitioning scheme the resident join runs under.
     pub fn scheme_description(&self) -> &str {
-        &self.layout.scheme_description
+        &self.run.ctx.scheme_description
     }
 
     /// Feed one round of signed deltas as a new epoch: payload rows go
@@ -1080,35 +741,22 @@ impl StandingHandle {
     /// a subsequent [`StandingHandle::snapshot`] observes it.
     pub fn apply(&mut self, rounds: Vec<DeltaRound>) -> Result<u64> {
         let epoch = self.issued + 1;
+        if let Some((rel, ..)) = rounds.iter().find(|(rel, ..)| *rel >= self.run.queues.len()) {
+            return Err(SquallError::Runtime(format!("relation {rel} out of range")));
+        }
+        self.run.push_epoch(epoch, &rounds);
+        self.issued = epoch;
+        let counters = &self.shared.counters;
+        let kind = if rounds.iter().any(|(_, _, m)| *m < 0) {
+            &counters.retractions
+        } else {
+            &counters.appends
+        };
+        kind.fetch_add(1, Ordering::Relaxed);
         // Clustered runs log every round until a checkpoint covers it —
         // the replay input of recovery.
-        if self.cluster.is_some() && self.cfg.checkpoint_interval > 0 {
-            self.replay.push((epoch, rounds.clone()));
-        }
-        let mut retracts = false;
-        for (rel, rows, mult) in rounds {
-            if rel >= self.queues.len() {
-                return Err(SquallError::Runtime(format!("relation {rel} out of range")));
-            }
-            if mult < 0 {
-                retracts = true;
-            }
-            for row in rows {
-                self.queues[rel].push(LiveItem::Delta(tag_delta(&row, mult, epoch)));
-            }
-        }
-        for q in &self.queues {
-            q.push(LiveItem::Watermark(epoch));
-        }
-        self.issued = epoch;
-        if retracts {
-            self.shared.counters.retractions.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.shared.counters.appends.fetch_add(1, Ordering::Relaxed);
-        }
-        // Spouts are the first nodes added: their task ids are 0..n.
-        for t in 0..self.queues.len() {
-            self.waker.wake(t);
+        if self.run.cluster.is_some() && self.cfg.checkpoint_interval > 0 {
+            self.replay.push((epoch, rounds));
         }
         if self.cfg.checkpoint_interval > 0 && epoch.is_multiple_of(self.cfg.checkpoint_interval) {
             self.checkpoint(epoch);
@@ -1124,19 +772,14 @@ impl StandingHandle {
     /// epoch-`e+1` delta exists anywhere while the epoch-`e` snapshot is
     /// taken, so operator state is exactly the view through `e`.
     fn checkpoint(&mut self, epoch: u64) {
-        let Some(rx) = self.blob_rx.as_ref() else { return };
-        for q in &self.queues {
-            q.push(LiveItem::Barrier(epoch));
-        }
-        for t in 0..self.queues.len() {
-            self.waker.wake(t);
-        }
+        let Some(rx) = self.run.blob_rx.as_ref() else { return };
+        self.run.push_all(LiveItem::Barrier(epoch));
         let deadline = Instant::now() + CHECKPOINT_DEADLINE;
         while !self.store.is_complete(epoch) {
             if Instant::now() >= deadline {
                 break;
             }
-            if self.handle.as_ref().and_then(|h| h.error()).is_some() {
+            if self.run.handle.as_ref().and_then(|h| h.error()).is_some() {
                 break; // dead topology: the error surfaces via error()
             }
             match rx.recv_timeout(Duration::from_millis(20)) {
@@ -1167,7 +810,7 @@ impl StandingHandle {
     /// The error that aborted the resident run, if any — a lost cluster
     /// peer surfaces here as [`SquallError::WorkerLost`].
     pub fn error(&self) -> Option<SquallError> {
-        self.handle.as_ref().and_then(|h| h.error())
+        self.run.handle.as_ref().and_then(|h| h.error())
     }
 
     /// Restart the view on `cluster` after a failure (typically a
@@ -1188,20 +831,12 @@ impl StandingHandle {
         // Tear the dead run down. The sink must not flush partial epochs
         // into the shared rows while the cascade drains.
         self.shared.recovering.store(true, Ordering::SeqCst);
-        for q in &self.queues {
-            q.close();
-        }
-        for t in 0..self.queues.len() {
-            self.waker.wake(t);
-        }
-        if let Some(mut handle) = self.handle.take() {
+        self.run.close();
+        if let Some(mut handle) = self.run.handle.take() {
             while handle.recv().is_some() {}
-            let _ = handle.finish();
+            let _ = finish_run(handle, self.run.cluster.take());
         }
-        if let Some(run) = self.cluster.take() {
-            let _ = run.finish(None);
-        }
-        if let Some(rx) = self.blob_rx.as_ref() {
+        if let Some(rx) = self.run.blob_rx.as_ref() {
             // Blobs that arrived after the last checkpoint wait (e.g. a
             // straggler completing a previously-partial epoch).
             while let Ok(msg) = rx.try_recv() {
@@ -1215,7 +850,7 @@ impl StandingHandle {
         let n_rel = self.spec.n_relations();
         if n_rel > 1 {
             if let Ok(scheme) =
-                build_scheme(self.cfg.scheme, &self.spec, self.layout.join_tasks, self.cfg.seed)
+                build_scheme(self.cfg.scheme, &self.spec, self.run.ctx.join_tasks, self.cfg.seed)
             {
                 self.store.reconstruct_newest(&scheme, n_rel);
             }
@@ -1229,36 +864,8 @@ impl StandingHandle {
         self.cfg.cluster = Some(cluster);
         let data =
             if restore.is_some() { vec![Vec::new(); n_rel] } else { self.initial_data.clone() };
-        let (tx, rx) = std::sync::mpsc::channel();
-        let blob_tx = (self.cfg.checkpoint_interval > 0).then_some(tx);
-        let (topology, queues, layout) = assemble_standing(
-            &self.spec,
-            data,
-            &self.cfg,
-            Some((Arc::clone(&self.plan), Arc::clone(&self.shared))),
-            restore.clone(),
-            blob_tx.clone(),
-        )?;
-        let cluster_spec = self.cfg.cluster.clone().expect("cluster just set");
-        let (placement, mut links) = boot_coordinator(
-            topology.layout(),
-            &self.spec,
-            &self.cfg,
-            &cluster_spec,
-            restore.as_deref(),
-            Some(resume),
-        )?;
-        links.blob_tx = blob_tx.clone();
-        if self.cfg.heartbeat_timeout_ms > 0 {
-            links.heartbeat = Some(Duration::from_millis(self.cfg.heartbeat_timeout_ms));
-        }
-        let (handle, run) = topology.launch_cluster(placement, links);
-        self.waker = handle.waker();
-        self.handle = Some(handle);
-        self.cluster = Some(run);
-        self.queues = queues;
-        self.layout = layout;
-        self.blob_rx = blob_tx.is_some().then_some(rx);
+        let view = (Arc::clone(&self.plan), Arc::clone(&self.shared));
+        self.run = start(&self.spec, &self.cfg, view, data, restore, Some(resume))?;
         self.shared.counters.recoveries.fetch_add(1, Ordering::Relaxed);
 
         // Replay every round after the restored checkpoint with its
@@ -1266,17 +873,7 @@ impl StandingHandle {
         // the log until a fresh checkpoint covers them.
         self.replay.retain(|(e, _)| *e > resume);
         for (epoch, rounds) in &self.replay {
-            for (rel, rows, mult) in rounds {
-                for row in rows {
-                    self.queues[*rel].push(LiveItem::Delta(tag_delta(row, *mult, *epoch)));
-                }
-            }
-            for q in &self.queues {
-                q.push(LiveItem::Watermark(*epoch));
-            }
-        }
-        for t in 0..self.queues.len() {
-            self.waker.wake(t);
+            self.run.push_epoch(*epoch, rounds);
         }
         Ok(())
     }
@@ -1285,56 +882,14 @@ impl StandingHandle {
     /// returning the view's final lifetime report (loads, maintenance
     /// counters, wire traffic under a cluster).
     pub fn shutdown(self) -> JoinReport {
-        let StandingHandle {
-            queues,
-            shared,
-            waker,
-            handle,
-            cluster,
-            layout,
-            input_count,
-            start,
-            ..
-        } = self;
+        self.run.close();
+        let StandingHandle { run: Run { handle, cluster, ctx, .. }, shared, .. } = self;
         let mut handle = handle.expect("handle present outside recover()");
-        for q in &queues {
-            q.close();
-        }
-        for t in 0..queues.len() {
-            waker.wake(t);
-        }
         while handle.recv().is_some() {}
-        let mut outcome = handle.finish();
-        let mut transport = None;
-        if let Some(cluster) = cluster {
-            let summary = cluster.finish(None);
-            for remote in &summary.remote_metrics {
-                outcome.metrics.merge(remote);
-            }
-            if outcome.error.is_none() {
-                outcome.error = summary.remote_error;
-            }
-            transport = Some(summary.transport);
-        }
-        let metrics = &outcome.metrics;
-        let join_metrics = metrics.node(layout.join_node);
-        let loads = join_metrics.received.clone();
-        JoinReport {
-            results: Vec::new(),
-            result_count: join_metrics.total_emitted(),
-            input_count,
-            input_counts: Vec::new(),
-            loads,
-            replication_factor: metrics.replication_factor(layout.join_node, &layout.source_nodes),
-            skew_degree: metrics.node(layout.join_node).skew_degree(),
-            network_factor: 0.0,
-            elapsed: start.elapsed(),
-            scheme_description: layout.scheme_description,
-            scheduler: outcome.metrics.scheduler.clone(),
-            error: outcome.error,
-            transport,
-            maintenance: Some(shared.stats()),
-        }
+        let (outcome, transport) = finish_run(handle, cluster);
+        let mut report = summarize(ctx, outcome, None, transport);
+        report.maintenance = Some(shared.stats());
+        report
     }
 }
 

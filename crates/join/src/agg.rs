@@ -37,6 +37,17 @@ impl AggSpec {
     pub fn sum_col(col: usize) -> AggSpec {
         AggSpec::sum(ScalarExpr::col(col))
     }
+
+    /// The raw row a global aggregate shows over zero rows (SQL): COUNT =
+    /// 0, NULL sums and averages.
+    pub fn empty_row(aggs: &[AggSpec]) -> Tuple {
+        aggs.iter()
+            .map(|a| match a.func {
+                AggFunc::Count => Value::Int(0),
+                AggFunc::Sum | AggFunc::Avg => Value::Null,
+            })
+            .collect()
+    }
 }
 
 /// Accumulated state of one aggregate within one group.

@@ -22,11 +22,12 @@
 //! never a recomputation. The delta for the full relation set is the
 //! emitted result.
 
-use squall_common::codec::{self, Reader};
+use squall_common::codec::Reader;
 use squall_common::{FxHashMap, Result, Tuple, Value};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::MultiJoinSpec;
 
+use crate::snapshot::{get_base_rows, put_base_rows};
 use crate::views::View;
 use crate::{LocalJoin, Snapshot};
 
@@ -357,30 +358,20 @@ impl Snapshot for DBToasterJoin {
     /// the singleton views, so restore replays the bases through the
     /// delta path. Rows are sorted so equal state means equal bytes.
     fn snapshot_state(&self, buf: &mut Vec<u8>) {
-        codec::put_u32(buf, self.arities.len() as u32);
-        for rel in 0..self.arities.len() {
-            let base = self.views.iter().find(|v| v.members.as_slice() == [rel]);
-            let mut rows: Vec<(&Tuple, i64)> = match base {
-                Some(v) => v.scan().collect(),
-                None => Vec::new(), // single-relation join: stateless
-            };
-            rows.sort_by(|a, b| a.0.cmp(b.0));
-            codec::put_u32(buf, rows.len() as u32);
-            for (t, m) in rows {
-                codec::put_tuple(buf, t);
-                codec::put_i64(buf, m);
-            }
-        }
+        // A single-relation join keeps no base view: it is stateless.
+        put_base_rows(
+            buf,
+            (0..self.arities.len()).map(|rel| {
+                let base = self.views.iter().find(|v| v.members.as_slice() == [rel]);
+                base.map_or_else(Vec::new, |v| v.scan().collect())
+            }),
+        );
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        let n = r.len()?;
         let mut discard = Vec::new();
-        for rel in 0..n {
-            let rows = r.len()?;
-            for _ in 0..rows {
-                let t = codec::get_tuple(r)?;
-                let m = r.i64()?;
+        for (rel, rows) in get_base_rows(r)?.into_iter().enumerate() {
+            for (t, m) in rows {
                 self.delta(rel, &t, m, &mut discard);
                 discard.clear();
             }
@@ -414,6 +405,17 @@ impl LocalJoin for DBToasterJoin {
 
     fn insert_weighted(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<(Tuple, i64)>) {
         self.apply_delta(rel, tuple, 1, Sink::Weighted(out));
+    }
+
+    fn signed_delta(
+        &mut self,
+        rel: usize,
+        tuple: &Tuple,
+        mult: i64,
+        out: &mut Vec<(Tuple, i64)>,
+    ) -> Result<()> {
+        self.delta(rel, tuple, mult, out);
+        Ok(())
     }
 }
 

@@ -23,13 +23,12 @@
 //! §3.4). The crate also provides the aggregate operators (SUM / COUNT /
 //! AVG with GROUP BY, §2), window semantics (tumbling and sliding windows
 //! "by adding the window expiration logic on top of the full-history
-//! engine", §2) and the BerkeleyDB-replacement [`spill::SpillStore`].
+//! engine", §2).
 
 pub mod agg;
 pub mod dbtoaster;
 pub mod naive;
 pub mod snapshot;
-pub mod spill;
 pub mod traditional;
 pub mod views;
 pub mod window;
@@ -38,15 +37,15 @@ pub use agg::{AggSpec, GroupByAggregator};
 pub use dbtoaster::DBToasterJoin;
 pub use naive::naive_join;
 pub use snapshot::Snapshot;
-pub use spill::SpillStore;
 pub use traditional::TraditionalJoin;
-pub use window::{output_ts_cols, WindowJoin, WindowSpec};
+pub use window::{event_time, output_ts_cols, time_span, WindowJoin, WindowSpec};
 
-use squall_common::Tuple;
+use squall_common::codec::Reader;
+use squall_common::{Result, SquallError, Tuple};
 
 /// A local online multi-way join: tuple in, (possibly several) join results
-/// out, state updated.
-pub trait LocalJoin: Send {
+/// out, state updated. Every local join is checkpointable ([`Snapshot`]).
+pub trait LocalJoin: Snapshot + Send {
     /// Insert one tuple of relation `rel`; append every join result this
     /// arrival completes (concatenated in relation order, matching
     /// [`squall_expr::MultiJoinSpec::output_schema`]) to `out`.
@@ -71,6 +70,27 @@ pub trait LocalJoin: Send {
         self.insert(rel, tuple, &mut buf);
         out.extend(buf.into_iter().map(|t| (t, 1)));
     }
+
+    /// Apply one signed Z-set delta: weight `mult` (+1 insert, −1 retract)
+    /// of `tuple` into relation `rel`, pushing the signed change of the
+    /// join result multiset into `out`. A one-shot insert is the delta of
+    /// weight +1. The default serves joins that cannot retract: it accepts
+    /// +1 only and reports any other weight as a typed error.
+    fn signed_delta(
+        &mut self,
+        rel: usize,
+        tuple: &Tuple,
+        mult: i64,
+        out: &mut Vec<(Tuple, i64)>,
+    ) -> Result<()> {
+        if mult != 1 {
+            return Err(SquallError::Runtime(format!(
+                "this local join is insert-only (got a weight-{mult} delta)"
+            )));
+        }
+        self.insert_weighted(rel, tuple, out);
+        Ok(())
+    }
 }
 
 impl<J: LocalJoin + ?Sized> LocalJoin for Box<J> {
@@ -88,5 +108,25 @@ impl<J: LocalJoin + ?Sized> LocalJoin for Box<J> {
 
     fn insert_weighted(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<(Tuple, i64)>) {
         (**self).insert_weighted(rel, tuple, out)
+    }
+
+    fn signed_delta(
+        &mut self,
+        rel: usize,
+        tuple: &Tuple,
+        mult: i64,
+        out: &mut Vec<(Tuple, i64)>,
+    ) -> Result<()> {
+        (**self).signed_delta(rel, tuple, mult, out)
+    }
+}
+
+impl<J: Snapshot + ?Sized> Snapshot for Box<J> {
+    fn snapshot_state(&self, buf: &mut Vec<u8>) {
+        (**self).snapshot_state(buf)
+    }
+
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
+        (**self).restore_state(r)
     }
 }

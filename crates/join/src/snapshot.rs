@@ -20,8 +20,8 @@
 //! * [`crate::GroupByAggregator`] writes its raw accumulators — AVG is not
 //!   invertible from the published rows, so group state ships as-is.
 
-use squall_common::codec::Reader;
-use squall_common::Result;
+use squall_common::codec::{self, Reader};
+use squall_common::{Result, Tuple};
 
 /// Serialize/restore an operator's state for checkpointing.
 ///
@@ -36,6 +36,40 @@ pub trait Snapshot {
     /// Rebuild state from a reader positioned at bytes written by
     /// [`Snapshot::snapshot_state`] on an operator of the same shape.
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()>;
+}
+
+/// Write base relations in the full-history join format — per relation,
+/// its stored rows with multiplicities, sorted so equal state means equal
+/// bytes. Both local joins snapshot this way, and §5 peer reconstruction
+/// reads and rebuilds it.
+pub fn put_base_rows<'a>(
+    buf: &mut Vec<u8>,
+    rels: impl ExactSizeIterator<Item = Vec<(&'a Tuple, i64)>>,
+) {
+    codec::put_u32(buf, rels.len() as u32);
+    for mut rows in rels {
+        rows.sort_by(|a, b| a.0.cmp(b.0));
+        codec::put_u32(buf, rows.len() as u32);
+        for (t, m) in rows {
+            codec::put_tuple(buf, t);
+            codec::put_i64(buf, m);
+        }
+    }
+}
+
+/// Read what [`put_base_rows`] wrote.
+pub fn get_base_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<(Tuple, i64)>>> {
+    let n_rels = r.len()?;
+    let mut rels = Vec::with_capacity(n_rels);
+    for _ in 0..n_rels {
+        let n = r.len()?;
+        let mut rows = Vec::with_capacity(n);
+        for _ in 0..n {
+            rows.push((codec::get_tuple(r)?, r.i64()?));
+        }
+        rels.push(rows);
+    }
+    Ok(rels)
 }
 
 #[cfg(test)]

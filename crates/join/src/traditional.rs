@@ -9,12 +9,14 @@
 //! amortizes away, and the reason Figure 8 shows an order-of-magnitude gap
 //! that "deepens with the increase in the number of relations".
 
-use squall_common::{Tuple, Value};
+use squall_common::codec::Reader;
+use squall_common::{Result, Tuple, Value};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::MultiJoinSpec;
 
+use crate::snapshot::{get_base_rows, put_base_rows};
 use crate::views::View;
-use crate::LocalJoin;
+use crate::{LocalJoin, Snapshot};
 
 /// Where a probe key / filter operand comes from during the cascade.
 #[derive(Debug, Clone, Copy)]
@@ -194,6 +196,22 @@ impl TraditionalJoin {
             self.cascade(rel, tuple, step + 1, bound, out);
             bound.pop();
         }
+    }
+}
+
+impl Snapshot for TraditionalJoin {
+    /// The base relations, in [`crate::DBToasterJoin`]'s format.
+    fn snapshot_state(&self, buf: &mut Vec<u8>) {
+        put_base_rows(buf, self.bases.iter().map(|b| b.scan().collect()));
+    }
+
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
+        for (base, rows) in self.bases.iter_mut().zip(get_base_rows(r)?) {
+            for (t, m) in rows {
+                base.update(&t, m);
+            }
+        }
+        Ok(())
     }
 }
 

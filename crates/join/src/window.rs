@@ -28,9 +28,10 @@
 //!     never joins window `k−1` state).
 
 use std::collections::VecDeque;
+use std::ops::RangeInclusive;
 
 use squall_common::codec::{self, Reader};
-use squall_common::{Result, Tuple};
+use squall_common::{Result, SquallError, Tuple};
 
 use crate::{LocalJoin, Snapshot};
 
@@ -44,6 +45,58 @@ pub enum WindowSpec {
     Tumbling { width: u64 },
     /// Keep tuples whose timestamp is within `size` of the newest input.
     Sliding { size: u64 },
+}
+
+impl WindowSpec {
+    /// Every window start a result whose constituent event times span
+    /// `[lo, hi]` folds into: the one tumbling bucket `⌊hi/width⌋·width`,
+    /// or each sliding start `s ∈ [hi − size, lo]` (every window `[s,
+    /// s+size]` that holds all constituents, one per time unit). Full
+    /// history has no windows: the range is empty.
+    #[inline]
+    pub fn window_starts(self, lo: u64, hi: u64) -> RangeInclusive<u64> {
+        match self {
+            WindowSpec::Tumbling { width } => {
+                debug_assert_eq!(lo / width, hi / width, "join window predicate violated");
+                let start = hi / width * width;
+                start..=start
+            }
+            WindowSpec::Sliding { size } => hi.saturating_sub(size)..=lo,
+            WindowSpec::FullHistory => RangeInclusive::new(1, 0),
+        }
+    }
+
+    /// Inclusive end of the window starting at `start` (`u64::MAX` under
+    /// full history, whose one "window" never ends).
+    #[inline]
+    pub fn window_end(self, start: u64) -> u64 {
+        match self {
+            WindowSpec::Tumbling { width } => start + width - 1,
+            WindowSpec::Sliding { size } => start + size,
+            WindowSpec::FullHistory => u64::MAX,
+        }
+    }
+}
+
+/// One event-time value as a timestamp: negative times are a typed error.
+#[inline]
+pub fn event_time(v: i64) -> Result<u64> {
+    u64::try_from(v).map_err(|_| {
+        SquallError::Runtime(format!("negative event-time timestamp {v} in aggregate input"))
+    })
+}
+
+/// The `[min, max]` event-time span of a join result over its
+/// constituent timestamp columns (see [`output_ts_cols`]).
+#[inline]
+pub fn time_span(row: &Tuple, ts_cols: &[usize]) -> Result<(u64, u64)> {
+    let (mut lo, mut hi) = (u64::MAX, 0u64);
+    for &c in ts_cols {
+        let v = event_time(row.get(c).as_int()?)?;
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    Ok((lo, hi))
 }
 
 /// Positions of each relation's event-time column within a join *output*
@@ -263,6 +316,12 @@ impl<J: LocalJoin> WindowJoin<J> {
 
     pub fn inner(&self) -> &J {
         &self.inner
+    }
+
+    /// The wrapped join, for signed full-history deltas that bypass the
+    /// window buffers.
+    pub fn inner_mut(&mut self) -> &mut J {
+        &mut self.inner
     }
 }
 

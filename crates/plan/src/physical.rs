@@ -408,15 +408,7 @@ impl Finalizer {
     /// over a produced row.
     fn empty_agg_row(&self) -> Result<Option<Tuple>> {
         debug_assert_eq!(self.group_cols_len, 0, "synthetic row only for global aggregates");
-        let raw = Tuple::new(
-            self.aggs
-                .iter()
-                .map(|a| match a.func {
-                    AggFunc::Count => Value::Int(0),
-                    _ => Value::Null,
-                })
-                .collect(),
-        );
+        let raw = AggSpec::empty_row(&self.aggs);
         if !self.passes(&raw).unwrap_or(false) {
             return Ok(None);
         }
@@ -1216,7 +1208,26 @@ impl PhysicalQuery {
             .scheme
             .or_else(|| self.decision.as_ref().and_then(|d| d.scheme_kind()))
             .unwrap_or(SchemeKind::Hybrid);
-        let mut mcfg = MultiwayConfig::new(scheme, cfg.local, cfg.machines);
+        let mut mcfg = self.multiway_config(scheme, cfg.local, cfg);
+        if self.is_aggregate {
+            mcfg = mcfg.with_agg(AggPlan {
+                group_cols: self.group_cols.clone(),
+                aggs: self.aggs.clone(),
+                parallelism: cfg.agg_parallelism.max(1),
+            });
+        }
+        Ok(Prepared::Distributed(Box::new(DistributedPlan { spec, data, mcfg })))
+    }
+
+    /// The run configuration both execution paths share: session knobs
+    /// plus the window plan.
+    fn multiway_config(
+        &self,
+        scheme: SchemeKind,
+        local: LocalJoinKind,
+        cfg: &ExecConfig,
+    ) -> MultiwayConfig {
+        let mut mcfg = MultiwayConfig::new(scheme, local, cfg.machines);
         mcfg.seed = cfg.seed;
         mcfg.worker_threads = cfg.worker_threads;
         mcfg.batch_size = cfg.batch_size.max(1);
@@ -1226,14 +1237,7 @@ impl PhysicalQuery {
         if let Some(w) = &self.window {
             mcfg = mcfg.with_window(WindowPlan { spec: w.spec, ts_cols: w.ts_cols.clone() });
         }
-        if self.is_aggregate {
-            mcfg = mcfg.with_agg(AggPlan {
-                group_cols: self.group_cols.clone(),
-                aggs: self.aggs.clone(),
-                parallelism: cfg.agg_parallelism.max(1),
-            });
-        }
-        Ok(Prepared::Distributed(Box::new(DistributedPlan { spec, data, mcfg })))
+        mcfg
     }
 
     /// Plan this query as a **standing view**: the same source-side work
@@ -1291,19 +1295,11 @@ impl PhysicalQuery {
             ));
         }
 
-        let mut mcfg = MultiwayConfig::new(SchemeKind::Hash, cfg.local, cfg.machines);
-        mcfg.seed = cfg.seed;
-        mcfg.worker_threads = cfg.worker_threads;
-        mcfg.batch_size = cfg.batch_size.max(1);
-        mcfg.cluster = cfg.cluster.clone();
-        mcfg.checkpoint_interval = cfg.checkpoint_interval;
-        mcfg.heartbeat_timeout_ms = cfg.heartbeat_timeout_ms;
+        // Retractions need a local join that maintains signed deltas,
+        // which DBToaster does. No `mcfg.agg`: in a standing topology the
+        // view sink aggregates, diffing published rows per epoch.
+        let mut mcfg = self.multiway_config(SchemeKind::Hash, LocalJoinKind::DBToaster, cfg);
         mcfg.standing = true;
-        if let Some(w) = &self.window {
-            mcfg = mcfg.with_window(WindowPlan { spec: w.spec, ts_cols: w.ts_cols.clone() });
-        }
-        // No `mcfg.agg`: in a standing topology the view sink aggregates,
-        // diffing published rows per epoch.
 
         let view = self.view_plan(&spec)?;
         Ok(StandingPlan { spec, data, mcfg, view })

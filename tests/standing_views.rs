@@ -223,3 +223,55 @@ proptest! {
         }
     }
 }
+
+/// Every join result belongs to the epoch of its newest input. `R` loads
+/// 50,000 rows `(i % 4, i)` at epoch 1 while `S` starts empty; one `S` row
+/// `(0, 7)` applied as epoch 2 joins 12,500 of them. `S`'s source runs far
+/// ahead of `R`'s initial load, so that row reaches the join tasks while
+/// epoch-1 `R` rows are still streaming in — their results must still be
+/// published under epoch 2, never epoch 1.
+#[test]
+fn join_results_carry_the_epoch_of_their_newest_input() {
+    use squall::engine::driver::{LocalJoinKind, MultiwayConfig};
+    use squall::engine::standing::{launch_standing, ViewPlan, ViewShared};
+    use squall::expr::{JoinAtom, MultiJoinSpec, RelationDef, ScalarExpr};
+    use squall::partition::optimizer::SchemeKind;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let schema = Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]);
+    let spec = MultiJoinSpec::new(
+        vec![RelationDef::new("R", schema.clone(), 50_000), RelationDef::new("S", schema, 1)],
+        vec![JoinAtom::eq(0, 0, 1, 0)],
+    )
+    .unwrap();
+    let plan = ViewPlan {
+        group_cols: vec![],
+        aggs: vec![],
+        is_aggregate: false,
+        having: None,
+        finalize: (0..4).map(ScalarExpr::col).collect(),
+        emit_empty_agg: false,
+        windowed: None,
+    };
+    let mut cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 4);
+    cfg.standing = true;
+    let r: Vec<Tuple> = (0..50_000i64).map(|i| tuple![i % 4, i]).collect();
+    for run in 0..10 {
+        let shared = Arc::new(ViewShared::new());
+        let changes = shared.subscribe();
+        let mut view =
+            launch_standing(&spec, vec![r.clone(), Vec::new()], &cfg, plan.clone(), shared)
+                .unwrap();
+        assert_eq!(view.apply(vec![(1, vec![tuple![0, 7]], 1)]).unwrap(), 2);
+        assert_eq!(view.snapshot(Duration::from_secs(60)).unwrap().len(), 12_500);
+        let report = view.shutdown();
+        assert!(report.error.is_none(), "{:?}", report.error);
+        let batches: Vec<_> = changes.try_iter().collect();
+        let rows_in = |epoch: u64| -> usize {
+            batches.iter().filter(|b| b.epoch == epoch).map(|b| b.changes.len()).sum()
+        };
+        assert_eq!(rows_in(1), 0, "run {run}: epoch 1 published epoch-2 results");
+        assert_eq!(rows_in(2), 12_500, "run {run}");
+    }
+}
